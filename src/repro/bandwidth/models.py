@@ -10,8 +10,10 @@ answer "how long does a burst of S bytes starting at t take?".
 from __future__ import annotations
 
 import abc
+import itertools
 import math
 import random
+from array import array
 from typing import Optional, Sequence
 
 __all__ = [
@@ -148,14 +150,16 @@ class TraceBandwidth(BandwidthModel):
             raise ValueError("trace must contain at least one sample")
         if any(s < 0 for s in samples):
             raise ValueError("bandwidth samples must be >= 0")
-        self.samples = [float(s) for s in samples]
+        # A tuple: models may be shared (see wuhan_bandwidth_model), so
+        # the samples and the prefix sums derived from them stay fixed.
+        self.samples = tuple(map(float, samples))
         self.start_time = float(start_time)
         self.wrap = wrap
         # Lazy cumulative-bytes prefix array: _prefix[k] = sum of the
         # first k samples.  Built on first integrated query; lets
         # transfer_duration and mean_rate answer in O(log n) / O(1)
         # instead of stepping second by second.
-        self._prefix: Optional[list] = None
+        self._prefix: Optional[array] = None
 
     @property
     def duration(self) -> float:
@@ -170,14 +174,11 @@ class TraceBandwidth(BandwidthModel):
             idx = min(max(idx, 0), len(self.samples) - 1)
         return self.samples[idx]
 
-    def _prefix_sums(self) -> list:
+    def _prefix_sums(self) -> array:
         if self._prefix is None:
-            prefix = [0.0] * (len(self.samples) + 1)
-            acc = 0.0
-            for i, s in enumerate(self.samples):
-                acc += s
-                prefix[i + 1] = acc
-            self._prefix = prefix
+            # Packed doubles: a shared model keeps its prefix for the
+            # life of the process.
+            self._prefix = array("d", itertools.accumulate(self.samples, initial=0.0))
         return self._prefix
 
     def _cumulative_raw(self, steps: int) -> float:

@@ -17,9 +17,10 @@ Rates are bytes/second.  The generator is fully deterministic per seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.bandwidth.models import TraceBandwidth
 from repro.bandwidth.trace import BandwidthTrace
@@ -148,5 +149,15 @@ def wuhan_trace(
 def wuhan_bandwidth_model(
     seed: int = 20141208, *, duration: int = 7200, wrap: bool = True
 ) -> TraceBandwidth:
-    """Convenience: the synthetic Wuhan trace wrapped as a bandwidth model."""
+    """The synthetic Wuhan trace wrapped as a bandwidth model.
+
+    The trace is a pure function of the arguments, so each process
+    builds it once per argument tuple and every caller shares that one
+    read-only model (and its lazily built prefix sums).
+    """
+    return _shared_wuhan_model(seed, duration, wrap)
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _shared_wuhan_model(seed: int, duration: int, wrap: bool) -> TraceBandwidth:
     return wuhan_trace(seed, duration=duration).to_model(wrap=wrap)

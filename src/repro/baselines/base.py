@@ -14,11 +14,51 @@ interfere original heartbeat transmission").
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+import random
+import threading
+from array import array
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.packet import Packet
 
 __all__ = ["TransmissionStrategy", "BandwidthEstimator"]
+
+#: Noise factors per ``(seed, noise)``, indexed by whole second and
+#: shared by every estimator of the process.  Bounded: at most
+#: ``_NOISE_KEYS_MAX`` keys (the dict is cleared past that) of at most
+#: ``_NOISE_SECONDS_MAX`` packed doubles (1 MiB) each.
+_NOISE_TABLES: Dict[Tuple[object, float], array] = {}
+_NOISE_KEYS_MAX = 16
+_NOISE_SECONDS_MAX = 1 << 17
+#: Tables grow in whole blocks of this many seconds.
+_NOISE_BLOCK = 1024
+_NOISE_LOCK = threading.Lock()
+
+
+def _noise_factor(seed, noise: float, sec: int) -> float:
+    """The deterministic multiplicative noise of whole second ``sec``."""
+    return 1.0 + random.Random(hash((seed, sec))).uniform(-noise, noise)
+
+
+def _noise_table(seed, noise: float, stop: int) -> array:
+    """The shared factor table of ``(seed, noise)``, filled to ``stop``.
+
+    Tables only ever grow, so a reader holding one may index anything
+    below its current length without the lock.
+    """
+    with _NOISE_LOCK:
+        key = (seed, noise)
+        table = _NOISE_TABLES.get(key)
+        if table is None:
+            if len(_NOISE_TABLES) >= _NOISE_KEYS_MAX:
+                _NOISE_TABLES.clear()
+            table = _NOISE_TABLES[key] = array("d")
+        if len(table) < stop:
+            stop = min(-(-stop // _NOISE_BLOCK) * _NOISE_BLOCK, _NOISE_SECONDS_MAX)
+            table.extend(
+                _noise_factor(seed, noise, sec) for sec in range(len(table), stop)
+            )
+        return table
 
 
 class BandwidthEstimator:
@@ -49,18 +89,22 @@ class BandwidthEstimator:
         self.noise = noise
         self.seed = seed
         self._history: List[float] = []
+        self._factors: Sequence[float] = ()
 
     def estimate(self, now: float) -> float:
         """Estimated instantaneous rate at ``now`` (bytes/second)."""
         true = self.bandwidth.rate_at(max(0.0, now - self.lag))
         if self.noise == 0:
             return true
-        # Deterministic per-second noise so runs are reproducible.
-        import random
-
-        rng = random.Random((self.seed, int(now)).__hash__())
-        factor = 1.0 + rng.uniform(-self.noise, self.noise)
-        return max(0.0, true * factor)
+        # Deterministic per-second noise so runs are reproducible: a
+        # pure function of (seed, noise, second), read from the shared
+        # table where it covers the second.
+        sec = int(now)
+        if not 0 <= sec < len(self._factors):
+            if not 0 <= sec < _NOISE_SECONDS_MAX:
+                return max(0.0, true * _noise_factor(self.seed, self.noise, sec))
+            self._factors = _noise_table(self.seed, self.noise, sec + 1)
+        return max(0.0, true * self._factors[sec])
 
     def record(self, now: float) -> None:
         """Log an estimate (strategies tracking running averages call this)."""

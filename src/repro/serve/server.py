@@ -74,7 +74,6 @@ class ServeApp:
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
         self.store = SessionStore(self.config.max_sessions)
-        self._bandwidth_cache: Dict[str, object] = {}
         self._table_cache: Dict[Tuple[str, float], object] = {}
         self.requests = 0
         self.errors = 0
@@ -330,7 +329,7 @@ class ServeApp:
         bw_spec = request.get("bandwidth")
         if bw_spec is None:
             bw_spec = {"kind": self.config.default_bandwidth}
-        self._bandwidth(bw_spec)  # validates + warms the model cache
+        self._bandwidth(bw_spec)  # validates the spec
         bw_key = json.dumps(bw_spec, sort_keys=True, separators=(",", ":"))
         return {
             "request": request,
@@ -490,16 +489,12 @@ class ServeApp:
             raise ProtocolError(
                 "bad_request", f"bandwidth must be an object with 'kind', got {spec!r}"
             )
-        key = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-        cached = self._bandwidth_cache.get(key)
-        if cached is not None:
-            return cached
         kind = spec["kind"]
         if kind == "wuhan":
             from repro.bandwidth.synth import wuhan_bandwidth_model
 
-            model = wuhan_bandwidth_model()
-        elif kind == "constant":
+            return wuhan_bandwidth_model()  # one shared model per process
+        if kind == "constant":
             from repro.bandwidth.models import ConstantBandwidth
 
             rate = spec.get("rate")
@@ -507,14 +502,11 @@ class ServeApp:
                 raise ProtocolError(
                     "bad_request", f"constant bandwidth needs rate > 0, got {rate!r}"
                 )
-            model = ConstantBandwidth(float(rate))
-        else:
-            raise ProtocolError(
-                "bad_request",
-                f"unknown bandwidth kind {kind!r}; known: ['constant', 'wuhan']",
-            )
-        self._bandwidth_cache[key] = model
-        return model
+            return ConstantBandwidth(float(rate))
+        raise ProtocolError(
+            "bad_request",
+            f"unknown bandwidth kind {kind!r}; known: ['constant', 'wuhan']",
+        )
 
 
 class _Connection:

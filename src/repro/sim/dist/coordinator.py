@@ -181,6 +181,7 @@ class DistExecutor(ExperimentExecutor):
         self._respawns = 0
         self._spawn_serial = 0
         self._spawned: List[subprocess.Popen] = []
+        self._spawned_by_name: Dict[str, subprocess.Popen] = {}
         self._t_first_lease: Optional[float] = None
         self._t_last_result: Optional[float] = None
         self._run_key = run_key_of(_job_key(spec) for spec in jobs)
@@ -452,14 +453,37 @@ class DistExecutor(ExperimentExecutor):
                 "worker": worker,
             }
         )
-        for i in lost:
-            self._lost(i)
         # A dropped connection with live leases usually means the process
         # behind it died; respawn now rather than on the next watchdog
         # tick so the fleet is back to strength before the requeued
         # leases are handed out (a fast surviving worker can otherwise
         # drain the queue first and the dead slot is never refilled).
+        # A spawned worker's socket closes a moment before its process
+        # can be reaped, so hold its leases back until then.
+        proc = self._spawned_by_name.get(worker)
+        if proc is not None and proc.poll() is None:
+            asyncio.ensure_future(self._requeue_after_exit(proc, lost))
+        else:
+            self._requeue_and_tend(lost)
+
+    def _requeue_and_tend(self, lost: List[int]) -> None:
+        for i in lost:
+            self._lost(i)
         self._tend_spawned()
+
+    async def _requeue_after_exit(
+        self, proc: subprocess.Popen, lost: List[int], grace: float = 1.0
+    ) -> None:
+        """Requeue ``lost`` and respawn once ``proc`` is reaped.
+
+        A worker still alive after ``grace`` seconds dropped only its
+        connection: it reconnects and may still upload, which the
+        first-write-wins settle makes harmless.
+        """
+        deadline = time.monotonic() + grace
+        while proc.poll() is None and time.monotonic() < deadline:
+            await asyncio.sleep(0.002)
+        self._requeue_and_tend(lost)
 
     def _kick_rescues(self) -> None:
         if self._rescue_task is None or self._rescue_task.done():
@@ -537,22 +561,22 @@ class DistExecutor(ExperimentExecutor):
         self._spawn_serial += 1
         # Workers write nothing the coordinator's caller should see;
         # silencing them keeps CLI output byte-identical to local runs.
-        self._spawned.append(
-            subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.sim.dist.worker",
-                    "--connect",
-                    f"{self.host}:{self.port}",
-                    "--name",
-                    name,
-                ],
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            )
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro.sim.dist.worker",
+                "--connect",
+                f"{self.host}:{self.port}",
+                "--name",
+                name,
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         )
+        self._spawned.append(proc)
+        self._spawned_by_name[name] = proc
 
     def _tend_spawned(self) -> None:
         """Respawn dead local workers within the rebuild budget.

@@ -31,8 +31,9 @@ float-summation rounding (see ``tests/test_fleet_equivalence.py``).
 
 from repro.sim.fleet.aggregate import FleetChunkSummary
 from repro.sim.fleet.channel import ChannelTable, SharedChannel
-from repro.sim.fleet.engine import VECTOR_STRATEGIES, simulate_fleet_chunk
+from repro.sim.fleet.engine import simulate_fleet_chunk
 from repro.sim.fleet.reference import simulate_reference_chunk
+from repro.sim.fleet.registry import vector_strategies
 from repro.sim.fleet.runner import FleetRunResult, run_fleet
 from repro.sim.fleet.spec import FleetChunkSpec, FleetSpec, fleet_supports
 from repro.sim.fleet.workload import FleetWorkload, synthesize_fleet
@@ -45,10 +46,10 @@ __all__ = [
     "FleetSpec",
     "FleetWorkload",
     "SharedChannel",
-    "VECTOR_STRATEGIES",
     "fleet_supports",
     "run_fleet",
     "simulate_fleet_chunk",
     "simulate_reference_chunk",
     "synthesize_fleet",
+    "vector_strategies",
 ]

@@ -42,7 +42,6 @@ Equivalence to a per-device scalar loop is covered by
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -54,24 +53,11 @@ from repro.sim.fleet.channel import ChannelTable
 from repro.sim.fleet.workload import FleetWorkload
 
 __all__ = [
-    "VECTOR_STRATEGIES",
     "FleetChunkRaw",
     "simulate_fleet_chunk",
     "slice_chunk_raw",
     "fleet_slot_count",
 ]
-
-def __getattr__(name: str):
-    # VECTOR_STRATEGIES is derived from the kernel registry so the
-    # historical ``from repro.sim.fleet.engine import VECTOR_STRATEGIES``
-    # keeps working after strategies register kernels elsewhere
-    # (see repro.sim.fleet.registry); everything unregistered falls back
-    # to the per-device scalar engine (see repro.sim.fleet.reference).
-    if name == "VECTOR_STRATEGIES":
-        from repro.sim.fleet.registry import vector_strategies
-
-        return vector_strategies()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Burst kinds, mirroring TransmissionRecord.kind.
 KIND_HEARTBEAT, KIND_DATA, KIND_PIGGYBACK = 0, 1, 2
@@ -548,150 +534,22 @@ def _head_spec(kind: int, deadline: float, d: np.ndarray) -> np.ndarray:
         return _head_spec_raw(kind, deadline, d)
 
 
-def _kind_groups(kinds: np.ndarray, dls: np.ndarray):
-    """Apps grouped by cost kind, with a column deadline per group.
-
-    The closed forms only branch on the kind, so one array expression per
-    *kind* covers all its apps at once; the per-app deadline rides along
-    as a broadcast column.  Op order per element is identical to the
-    per-app calls, so values stay bit-identical.
-    """
-    groups = []
-    for kind in (0, 1, 2):
-        apps = np.nonzero(kinds == kind)[0]
-        if apps.size:
-            groups.append((kind, apps, dls[apps][:, None]))
-    return groups
-
-
-def _theta_costs_numpy(u, kinds, dls, n_pre, s_pre, n_post, s_post, out) -> None:
-    """P(t) per device into ``out``: Σ_a closed-form Σφ, app order.
-
-    The per-app accumulation stays sequential (``out += C[a]`` in app
-    order) to match the scalar ``instantaneous_cost`` left-fold.
-    """
-    C = np.empty_like(n_pre)
-    for kind, apps, dl in _kind_groups(kinds, dls):
-        C[apps] = _cost_aggregate(
-            kind, dl, u, n_pre[apps], s_pre[apps], n_post[apps], s_post[apps]
-        )
-    out[:] = 0.0
-    for a in range(kinds.shape[0]):
-        out += C[a]
-
-
-def _theta_costs_loops(u, kinds, dls, n_pre, s_pre, n_post, s_post, out) -> None:
-    """Scalar-loop twin of :func:`_theta_costs_numpy` (the numba source).
-
-    Written so each element performs the *same IEEE operations in the
-    same order* as the NumPy expressions: numba compiles it without
-    fastmath or FMA contraction, so the results are bit-identical —
-    ``tests/test_etrain_jit.py`` checks exactly that.
-    """
-    A, D = n_pre.shape
-    for d in range(D):
-        acc = 0.0
-        for a in range(A):
-            dl = dls[a]
-            k = kinds[a]
-            if k == 0:
-                c = (n_post[a, d] * u - s_post[a, d]) / dl - n_post[a, d]
-            elif k == 1:
-                c = (n_pre[a, d] * u - s_pre[a, d]) / dl + 2.0 * n_post[a, d]
-            else:
-                c = (
-                    (n_pre[a, d] * u - s_pre[a, d]) / dl
-                    + 3.0 * (n_post[a, d] * u - s_post[a, d]) / dl
-                    - 2.0 * n_post[a, d]
-                )
-            acc += c
-        out[d] = acc
-
-
-_THETA_IMPL: Optional[Callable] = None
-
-
-def etrain_jit_requested() -> bool:
-    """Whether the ``ETRAIN_JIT`` env flag asks for the numba path."""
-    return os.environ.get("ETRAIN_JIT", "").strip().lower() not in (
-        "",
-        "0",
-        "false",
-        "off",
-    )
-
-
-def etrain_jit_active() -> bool:
-    """True when the resolved Θ-cost step is the numba-compiled one."""
-    return _theta_costs_impl() is not _theta_costs_numpy
-
-
-def _reset_theta_impl() -> None:
-    """Drop the cached Θ-cost impl (tests flip ``ETRAIN_JIT`` at runtime)."""
-    global _THETA_IMPL
-    _THETA_IMPL = None
-
-
-def _theta_costs_impl() -> Callable:
-    """Resolve the Θ-cost step: NumPy, or numba behind ``ETRAIN_JIT``.
-
-    Import-guarded: a missing or broken numba silently falls back to the
-    NumPy path, so the flag is safe to set on machines without numba.
-    """
-    global _THETA_IMPL
-    if _THETA_IMPL is None:
-        impl = _theta_costs_numpy
-        if etrain_jit_requested():
-            try:
-                from numba import njit
-
-                jitted = njit(cache=False)(_theta_costs_loops)
-                # Warm the compile on token shapes so the first chunk
-                # doesn't pay it inside a timed phase.
-                jitted(
-                    0.0,
-                    np.zeros(1, np.int64),
-                    np.ones(1),
-                    np.zeros((1, 1)),
-                    np.zeros((1, 1)),
-                    np.zeros((1, 1)),
-                    np.zeros((1, 1)),
-                    np.zeros(1),
-                )
-                impl = jitted
-            except Exception:
-                impl = _theta_costs_numpy
-        _THETA_IMPL = impl
-    return _THETA_IMPL
-
-
 def _theta_step_for(kinds_arr: np.ndarray, dls_arr: np.ndarray) -> Callable:
-    """Bind the resolved Θ-cost impl to one chunk's app axis.
+    """The Θ-cost step bound to one chunk's app axis.
 
-    The NumPy path specializes to a per-app row fold with scalar
-    deadlines — elementwise the exact same IEEE ops as
-    :func:`_theta_costs_numpy` (which tests keep as the reference), minus
-    the per-slot group construction and scratch allocation.  The numba
-    path forwards the full signature.
+    ``step(u, n_pre, s_pre, n_post, s_post, out)`` writes P(t) per device
+    into ``out``: the closed-form Σφ of each app, folded in app order
+    (``out += C[a]``) to match the scalar ``instantaneous_cost``
+    left-fold bit for bit.
     """
-    impl = _theta_costs_impl()
-    if impl is _theta_costs_numpy:
-        per_app = [
-            (int(kinds_arr[a]), float(dls_arr[a]))
-            for a in range(kinds_arr.shape[0])
-        ]
-
-        def step(u, n_pre, s_pre, n_post, s_post, out):
-            out[:] = 0.0
-            for a, (kind, dl) in enumerate(per_app):
-                out += _cost_aggregate(
-                    kind, dl, u, n_pre[a], s_pre[a], n_post[a], s_post[a]
-                )
-
-        return step
+    per_app = [
+        (int(kinds_arr[a]), float(dls_arr[a])) for a in range(kinds_arr.shape[0])
+    ]
 
     def step(u, n_pre, s_pre, n_post, s_post, out):
-        impl(u, kinds_arr, dls_arr, n_pre, s_pre, n_post, s_post, out)
+        out[:] = 0.0
+        for a, (kind, dl) in enumerate(per_app):
+            out += _cost_aggregate(kind, dl, u, n_pre[a], s_pre[a], n_post[a], s_post[a])
 
     return step
 

@@ -230,6 +230,27 @@ class TestTraceFastPaths:
         # 1010 bytes drain the trace; the rest rides the clamped 10 B/s.
         assert bw.transfer_duration(0.0, 1110.0) == pytest.approx(12.0)
 
+    def test_prefix_sums_are_the_running_sum_bitwise(self):
+        """The packed prefix array holds exactly the left-to-right running
+        sum of the samples, which are frozen as a tuple of floats."""
+        import struct
+
+        for bw in self._traces():
+            assert isinstance(bw.samples, tuple)
+            assert all(type(s) is float for s in bw.samples)
+            prefix = bw._prefix_sums()
+            assert bw._prefix_sums() is prefix
+            acc, expected = 0.0, [0.0]
+            for s in bw.samples:
+                acc += s
+                expected.append(acc)
+            assert len(prefix) == len(expected)
+            for got, want in zip(prefix, expected):
+                assert struct.pack("<d", got) == struct.pack("<d", want)
+        ints = TraceBandwidth(range(1, 6))
+        assert ints.samples == (1.0, 2.0, 3.0, 4.0, 5.0)
+        assert ints.mean_rate(0.0, 5.0) == 3.0
+
 
 class TestMarkovMemoryBound:
     def test_window_stays_bounded(self, monkeypatch):

@@ -107,6 +107,26 @@ class TestWuhanTrace:
         model = wuhan_bandwidth_model(duration=100, wrap=True)
         assert model.rate_at(0.0) == model.rate_at(100.0)
 
+    def test_model_is_built_once_and_read_only(self):
+        model = wuhan_bandwidth_model()
+        assert wuhan_bandwidth_model() is model
+        assert wuhan_bandwidth_model(20141208, duration=7200, wrap=True) is model
+        assert wuhan_bandwidth_model(wrap=False) is not model
+        assert model.samples == tuple(wuhan_trace().samples)
+        with pytest.raises(TypeError):
+            model.samples[0] = 0.0
+
+    def test_distinct_arguments_build_distinct_models(self):
+        """The memo keys on every argument: another seed or duration is
+        its own trace, and each shared model equals a fresh build."""
+        for seed, duration in ((20141208, 7200), (7, 7200), (20141208, 600)):
+            model = wuhan_bandwidth_model(seed, duration=duration)
+            fresh = wuhan_trace(seed, duration=duration).to_model()
+            assert model is not fresh
+            assert model.samples == fresh.samples
+        assert wuhan_bandwidth_model(7).samples != wuhan_bandwidth_model().samples
+        assert len(wuhan_bandwidth_model(duration=600).samples) == 600
+
     def test_validation(self):
         with pytest.raises(ValueError):
             wuhan_trace(duration=0)

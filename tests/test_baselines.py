@@ -1,8 +1,15 @@
 """Unit tests for every comparator strategy."""
 
+import random
+import struct
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bandwidth.models import ConstantBandwidth, TraceBandwidth
+from repro.baselines import base
 from repro.baselines.base import BandwidthEstimator
 from repro.baselines.etime import ETimeStrategy
 from repro.baselines.fixed_batch import PeriodicBatchStrategy
@@ -35,6 +42,81 @@ class TestBandwidthEstimator:
             e = est1.estimate(float(t))
             assert 700.0 - 1e-6 <= e <= 1300.0 + 1e-6
             assert e == est2.estimate(float(t))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=40),
+        noise=st.sampled_from([0.05, 0.3, 0.5, 1.0]),
+        lag=st.sampled_from([0.0, 1.0, 2.0, 2.5]),
+        times=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                st.floats(min_value=0.0, max_value=2500.0),
+                st.integers(min_value=0, max_value=2500).map(float),
+                st.sampled_from([-1.5, float(base._NOISE_SECONDS_MAX) + 3.25]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_estimate_matches_direct_draw_bitwise(self, seed, noise, lag, times):
+        """The shared per-second factor table reproduces the direct
+        ``random.Random(hash((seed, second)))`` draw bit for bit, over
+        sub-second, fractional, past-the-first-block, negative and
+        beyond-the-table times, in any query order."""
+        bw = TraceBandwidth([float(1_000 + 37 * i) for i in range(64)], wrap=True)
+        est = BandwidthEstimator(bw, lag=lag, noise=noise, seed=seed)
+        for now in times + [-1.5, 1500.25]:
+            true = bw.rate_at(max(0.0, now - lag))
+            rng = random.Random((seed, int(now)).__hash__())
+            expected = max(0.0, true * (1.0 + rng.uniform(-noise, noise)))
+            got = est.estimate(now)
+            assert struct.pack("<d", got) == struct.pack("<d", expected), now
+
+    def test_shared_table_grown_from_threads(self, monkeypatch):
+        """Estimators on several threads growing one fresh shared table
+        all still read the direct draw of every second."""
+        monkeypatch.setattr(base, "_NOISE_TABLES", {})
+        errors = []
+
+        def worker(first):
+            est = BandwidthEstimator(ConstantBandwidth(1_000.0), noise=0.3, seed=99)
+            for sec in range(first, 3 * base._NOISE_BLOCK, 5):
+                expected = max(0.0, 1_000.0 * base._noise_factor(99, 0.3, sec))
+                if est.estimate(float(sec)) != expected:
+                    errors.append(sec)
+
+        before = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(before)
+        assert errors == []
+
+    def test_noise_tables_stay_bounded(self, monkeypatch):
+        """The shared tables hold at most ``_NOISE_KEYS_MAX`` keys, grow in
+        whole blocks up to ``_NOISE_SECONDS_MAX`` seconds, and seconds past
+        that cap are drawn directly without growing any table."""
+        monkeypatch.setattr(base, "_NOISE_TABLES", {})
+        bw = ConstantBandwidth(1_000.0)
+        for seed in range(base._NOISE_KEYS_MAX + 3):
+            BandwidthEstimator(bw, noise=0.2, seed=seed).estimate(5.0)
+            assert 1 <= len(base._NOISE_TABLES) <= base._NOISE_KEYS_MAX
+        assert all(len(t) == base._NOISE_BLOCK for t in base._NOISE_TABLES.values())
+
+        est = BandwidthEstimator(bw, noise=0.2, seed="far")
+        far = float(base._NOISE_SECONDS_MAX + 10)
+        assert est.estimate(far) == 1_000.0 * base._noise_factor("far", 0.2, int(far))
+        assert ("far", 0.2) not in base._NOISE_TABLES
+        last = float(base._NOISE_SECONDS_MAX - 1)
+        assert est.estimate(last) == 1_000.0 * base._noise_factor("far", 0.2, int(last))
+        assert len(base._NOISE_TABLES[("far", 0.2)]) == base._NOISE_SECONDS_MAX
 
     def test_running_average(self):
         est = estimator(rate=1_000.0)

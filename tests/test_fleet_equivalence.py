@@ -23,8 +23,9 @@ from repro.radio.power_model import GALAXY_S4_3G
 from repro.sim.fleet.accounting import summarize_chunk
 from repro.sim.fleet.aggregate import FleetChunkSummary
 from repro.sim.fleet.channel import ChannelTable
-from repro.sim.fleet.engine import VECTOR_STRATEGIES, simulate_fleet_chunk
+from repro.sim.fleet.engine import _cost_aggregate, _theta_step_for, simulate_fleet_chunk
 from repro.sim.fleet.reference import simulate_reference_chunk
+from repro.sim.fleet.registry import vector_strategies
 from repro.sim.fleet.workload import synthesize_fleet
 
 #: Aggregate keys the fleet engine must reproduce from the scalar loop.
@@ -106,7 +107,7 @@ def test_fixed_seed_equivalence(strategy, params):
     assert_summaries_match(fleet, scalar)
 
 
-@pytest.mark.parametrize("strategy", VECTOR_STRATEGIES)
+@pytest.mark.parametrize("strategy", vector_strategies())
 def test_random_phase_equivalence(strategy):
     fleet = fleet_summary(5, 450.0, 7, strategy, phase_mode="random")
     scalar = scalar_summary(5, 450.0, 7, strategy, phase_mode="random")
@@ -130,7 +131,7 @@ def test_full_horizon_etrain_equivalence():
     devices=st.integers(min_value=1, max_value=8),
     horizon=st.sampled_from([300.0, 450.0, 600.0, 900.0]),
     seed=st.integers(min_value=0, max_value=200),
-    strategy=st.sampled_from(VECTOR_STRATEGIES),
+    strategy=st.sampled_from(vector_strategies()),
     phase_mode=st.sampled_from(["fixed", "random"]),
 )
 def test_property_fleet_matches_scalar(devices, horizon, seed, strategy, phase_mode):
@@ -216,3 +217,67 @@ def test_rejects_unknown_params():
         simulate_fleet_chunk(
             w, channel_table(60.0), strategy="etrain", params={"bogus": 1}
         )
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_theta_step_matches_scalar_left_fold_bitwise(seed):
+    """The etrain kernel's Θ-cost step equals, bit for bit, a per-device
+    scalar left-fold of each app's closed-form ``_cost_aggregate``."""
+    rng = np.random.default_rng(seed)
+    A, D = int(rng.integers(1, 5)), int(rng.integers(1, 33))
+    kinds = rng.integers(0, 3, size=A).astype(np.int64)
+    dls = rng.uniform(5.0, 120.0, size=A)
+    u = float(rng.uniform(0.0, 7200.0))
+    n_pre = rng.integers(0, 40, size=(A, D)).astype(np.float64)
+    n_post = rng.integers(0, 40, size=(A, D)).astype(np.float64)
+    s_pre = rng.uniform(0.0, 7200.0, size=(A, D)) * n_pre
+    s_post = rng.uniform(0.0, 7200.0, size=(A, D)) * n_post
+
+    out = np.full(D, np.nan)
+    _theta_step_for(kinds, dls)(u, n_pre, s_pre, n_post, s_post, out)
+
+    ref = np.empty(D)
+    for d in range(D):
+        acc = 0.0
+        for a in range(A):
+            acc += _cost_aggregate(
+                int(kinds[a]), float(dls[a]), u,
+                float(n_pre[a, d]), float(s_pre[a, d]),
+                float(n_post[a, d]), float(s_post[a, d]),
+            )
+        ref[d] = acc
+    np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+def test_theta_step_overwrites_its_output():
+    """The bound step keeps no state between calls: each call overwrites
+    ``out`` (stale values included), and empty queues cost exactly 0."""
+    kinds = np.array([0, 1, 2], dtype=np.int64)
+    step = _theta_step_for(kinds, np.array([30.0, 60.0, 90.0]))
+    zeros = np.zeros((3, 4))
+    out = np.full(4, np.nan)
+    step(120.0, zeros, zeros, zeros, zeros, out)
+    assert out.tolist() == [0.0] * 4
+
+    n = np.full((3, 4), 2.0)
+    s = np.full((3, 4), 50.0)
+    step(100.0, n, s, n, s, out)
+    first = out.copy()
+    out[:] = 1e9
+    step(100.0, n, s, n, s, out)
+    np.testing.assert_array_equal(out.view(np.uint64), first.view(np.uint64))
+
+
+def test_fleet_package_lists_live_registry(monkeypatch):
+    """``repro.sim.fleet.vector_strategies`` is the registry's function,
+    so a kernel registered after import is listed (and vectorized)."""
+    import repro.sim.fleet as fleet
+    from repro.sim.fleet import registry
+
+    assert fleet.vector_strategies is registry.vector_strategies
+    monkeypatch.setattr(registry, "_KERNELS", dict(registry._KERNELS))
+    assert "late_kernel" not in fleet.vector_strategies()
+    registry.register_kernel("late_kernel", lambda *args: None)
+    assert "late_kernel" in fleet.vector_strategies()
+    assert registry.has_kernel("late_kernel")

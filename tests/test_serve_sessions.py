@@ -278,3 +278,55 @@ class TestInboxShedding:
         assert inbox.drain(4) == [0, 1, 2, 3]
         assert inbox.drain(4) == [4, 5]
         assert inbox.drain(4) == []
+
+
+def test_wuhan_opens_share_one_trace(monkeypatch):
+    """Distinct client specs of the Wuhan channel reuse the process's one
+    model: 100 opens synthesize the trace once (its two regimes), and
+    the daemon keeps no per-spec copy."""
+    from repro.bandwidth import synth
+    from repro.serve.server import ServeApp, ServeConfig
+
+    synth._shared_wuhan_model.cache_clear()
+    real = synth.synthesize_regime
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "synthesize_regime", counting)
+    app = ServeApp(ServeConfig())
+    for i in range(100):
+        response = app.handle(
+            {
+                "op": "open",
+                "device": f"d{i}",
+                "strategy": "etrain",
+                "bandwidth": {"kind": "wuhan", "pad": i},
+            }
+        )
+        assert response["ok"], response
+    assert len(calls) == 2
+
+
+def test_bandwidth_specs_resolve_per_open():
+    """Each open resolves its own spec: constant rates are built from the
+    request, a bad rate is rejected, and Wuhan specs get the shared model."""
+    from repro.bandwidth.synth import wuhan_bandwidth_model
+    from repro.serve.server import ServeApp, ServeConfig
+
+    app = ServeApp(ServeConfig())
+    for rate in (250.0, 5_000.0, 250.0):
+        model = app._bandwidth({"kind": "constant", "rate": rate})
+        assert isinstance(model, ConstantBandwidth)
+        assert model.rate_at(0.0) == rate
+    assert app._bandwidth({"kind": "wuhan"}) is wuhan_bandwidth_model()
+    assert app._bandwidth({"kind": "wuhan", "pad": 3}) is wuhan_bandwidth_model()
+    for spec in ({"kind": "constant", "rate": 0}, {"kind": "lte"}):
+        response = app.handle(
+            {"op": "open", "device": "bad", "strategy": "etrain", "bandwidth": spec}
+        )
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad_request"
+    assert len(app.store) == 0
