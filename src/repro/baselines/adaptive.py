@@ -114,13 +114,15 @@ def adaptive_fleet_kernel(workload, table, params: Dict, power_model, *, profile
     The slot dynamics are exactly the shared eTrain kernel with Θ as a
     per-device vector (the threshold check broadcasts).  The feedback
     controller itself stays Python: it runs off the engine's
-    ``on_release`` hook, which fires once per slot with that slot's
-    selection-time releases.  Non-heartbeat fires pick exactly one
-    packet per device, so their delays arrive precomputed; heartbeat
-    drains arrive as frozen queue bounds and the callback replays the
-    scalar greedy pick order (per-app heads compete on marginal gain,
-    then FIFO free riders) because the *order* of delay samples decides
-    which ones sit in the controller's trailing window.  All controller
+    ``on_release`` hook, which fires once per engine round with each
+    device's selection-time releases and their slots.  Non-heartbeat
+    fires pick exactly one packet per device, so their delays arrive
+    precomputed; heartbeat drains arrive as frozen queue bounds and the
+    callback replays the scalar greedy pick order (per-app heads compete
+    on marginal gain, then FIFO free riders) because the *order* of
+    delay samples decides which ones sit in the controller's trailing
+    window.  A device's adapted Θ only matters from its next slot on,
+    and the engine's next round reads it from there.  All controller
     arithmetic — speculative costs, p-bar left-folds, window means,
     multiplicative Θ steps — mirrors the scalar operations verbatim so
     the adapted Θ trajectory matches bit-for-bit.
@@ -152,7 +154,6 @@ def adaptive_fleet_kernel(workload, table, params: Dict, power_model, *, profile
     pk_app, pk_dev, pk_arr, pk_size, base = _flat_packets(workload)
 
     A, D = workload.n_apps, workload.n_devices
-    garr = [workload.arrivals[a] for a in range(A)]
     kinds = [int(k) for k in workload.cost_kinds]
     dls = [float(d) for d in workload.deadlines]
     eta_down = 1.0 - AdaptiveThetaETrainStrategy.ETA
@@ -181,15 +182,13 @@ def adaptive_fleet_kernel(workload, table, params: Dict, power_model, *, profile
             return d / dl if d <= dl else 2.0
         return d / dl if d <= dl else 3.0 * d / dl - 2.0
 
-    def on_release(i, pick_dev, pick_delay, hbq, hb_lo, hb_hi):
-        t = float(i)
+    def on_release(pick_dev, pick_slot, pick_delay, hbq, hbq_slot, hb_lo, hb_hi):
         for j in range(len(pick_dev)):
             adapt(int(pick_dev[j]), [float(pick_delay[j])])
-        if not len(hbq):
-            return
-        u = t + 1.0
         for j in range(len(hbq)):
-            arrs = [garr[a][hb_lo[a][j] : hb_hi[a][j]] for a in range(A)]
+            t = float(hbq_slot[j])
+            u = t + 1.0
+            arrs = [pk_arr[hb_lo[a, j] : hb_hi[a, j]] for a in range(A)]
             specs = [
                 [phi(kinds[a], dls[a], u - ar) for ar in arrs[a]] for a in range(A)
             ]

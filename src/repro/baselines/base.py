@@ -17,7 +17,8 @@ import abc
 import random
 import threading
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.packet import Packet
 
@@ -72,6 +73,9 @@ class BandwidthEstimator:
     perfect (lag=0, noise=0) to poor.
     """
 
+    #: Recorded estimates kept: the longest running-average window.
+    HISTORY = 120
+
     def __init__(
         self,
         bandwidth,
@@ -88,7 +92,8 @@ class BandwidthEstimator:
         self.lag = lag
         self.noise = noise
         self.seed = seed
-        self._history: List[float] = []
+        #: The estimates ``running_average`` can still read.
+        self._history: Deque[float] = deque(maxlen=self.HISTORY)
         self._factors: Sequence[float] = ()
 
     def estimate(self, now: float) -> float:
@@ -110,11 +115,14 @@ class BandwidthEstimator:
         """Log an estimate (strategies tracking running averages call this)."""
         self._history.append(self.estimate(now))
 
-    def running_average(self, window: int = 120) -> Optional[float]:
+    def running_average(self, window: int = HISTORY) -> Optional[float]:
         """Mean of the last ``window`` recorded estimates (None if empty)."""
-        if not self._history:
+        if not 1 <= window <= self.HISTORY:
+            raise ValueError(f"window must be in [1, {self.HISTORY}], got {window}")
+        history = self._history
+        if not history:
             return None
-        tail = self._history[-window:]
+        tail = history if window >= len(history) else list(history)[-window:]
         return sum(tail) / len(tail)
 
 

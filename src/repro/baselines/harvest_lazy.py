@@ -134,7 +134,9 @@ class HarvestLazyStrategy(TransmissionStrategy):
             return now
         margin = 1e-6 * max(1.0, self.slot)
         horizon = due - self.slot - margin
-        crossing = self.battery.when_stored_at_least(self.watermark_j, now)
+        crossing = self.battery.when_stored_at_least(
+            self.watermark_j, now, until=horizon
+        )
         if crossing is not None and crossing - margin < horizon:
             horizon = crossing - margin
         return horizon

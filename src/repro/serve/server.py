@@ -74,7 +74,7 @@ class ServeApp:
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
         self.store = SessionStore(self.config.max_sessions)
-        self._table_cache: Dict[Tuple[str, float], object] = {}
+        self._table_cache: Dict[Tuple[object, float], object] = {}
         self.requests = 0
         self.errors = 0
 
@@ -345,17 +345,23 @@ class ServeApp:
         }
 
     def _channel_table(self, bw_spec: Dict, horizon: float):
+        from repro.bandwidth.models import ConstantBandwidth
         from repro.sim.fleet.channel import ChannelTable
 
-        key = (
-            json.dumps(bw_spec, sort_keys=True, separators=(",", ":")),
-            float(horizon),
-        )
+        # Keyed by the resolved model, not the client's spelling of it:
+        # named models are shared per process, so the object itself (held
+        # by the key, so its identity stays unique) names the channel.
+        model = self._bandwidth(bw_spec)
+        if isinstance(model, ConstantBandwidth):
+            ident = ("constant", model.rate)
+        else:
+            ident = model
+        key = (ident, float(horizon))
         table = self._table_cache.get(key)
         if table is None:
             if len(self._table_cache) >= 8:
                 self._table_cache.clear()
-            table = ChannelTable.from_model(self._bandwidth(bw_spec), horizon)
+            table = ChannelTable.from_model(model, horizon)
             self._table_cache[key] = table
         return table
 

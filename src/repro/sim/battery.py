@@ -146,6 +146,8 @@ class HarvestingBattery:
         #: Level at the last drain, and when that drain happened.
         self._level = float(initial_j)
         self._anchor = 0.0
+        #: (need, lo, hi): windows [lo, hi) hold no crossing of `need`.
+        self._ruled_out = (math.nan, 0, 0)
         self.drains = 0
         self.drained_j = 0.0
 
@@ -196,34 +198,45 @@ class HarvestingBattery:
         return True
 
     def when_stored_at_least(
-        self, target_j: float, t0: float, *, max_windows: int = 100_000
+        self, target_j: float, t0: float, until: float
     ) -> Optional[float]:
-        """Earliest ``t >= t0`` with ``stored_at(t) >= target_j``.
+        """Earliest ``t >= t0`` with ``stored_at(t) >= target_j``, if it
+        falls in a harvest window that starts by ``until``.
 
-        None when ``target_j`` exceeds capacity or the crossing is not
-        found within ``max_windows`` harvest windows (e.g. all-zero
-        rates).  Assumes no drains happen in between, which holds for
-        the planning callers: a drain would only postpone the crossing,
-        and every drain site re-queries.
+        None when ``target_j`` exceeds capacity, when nothing is ever
+        harvested, or when no window up to the one holding ``until``
+        reaches the target; a crossing found in that last window may lie
+        past ``until``.  Assumes no drains happen in between, which holds
+        for the planning callers: a drain would only postpone the
+        crossing, and every drain site re-queries.
         """
         if target_j > self.capacity_j:
             return None
         t0 = max(t0, self._anchor)
         if self.stored_at(t0) >= target_j:
             return t0
+        if self.harvest_rate_max == 0.0:
+            return None
         w = self.harvest_window_s
         # Unclamped accumulation crosses `target` at the same instant the
         # clamped level does, because target <= capacity and charge is
         # monotone between drains.
         need = target_j - self._level + self.harvested(self._anchor)
         k = int(math.floor(t0 / w))
-        self._ensure_windows(k)
-        for _ in range(max_windows):
+        # Windows already scanned for this `need` (it only changes at a
+        # drain) cannot hold the crossing: cum and rates are fixed.
+        done_need, done_lo, done_hi = self._ruled_out
+        if done_need == need and done_lo <= k < done_hi:
+            k = done_hi
+        else:
+            done_lo = k
+        last = int(math.floor(until / w))
+        while k <= last:
+            self._ensure_windows(k)
             rate = self._rates[k]
-            end_of_window = self._cum[k + 1]
-            if end_of_window >= need and rate > 0.0:
+            if self._cum[k + 1] >= need and rate > 0.0:
                 t = k * w + (need - self._cum[k]) / rate
                 return max(t, t0)
             k += 1
-            self._ensure_windows(k)
+        self._ruled_out = (need, done_lo, k)
         return None

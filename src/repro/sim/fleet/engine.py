@@ -10,11 +10,13 @@ strategies whose decision rules admit column form:
   run collapses to array arithmetic with no slot loop at all;
 * **tailender** needs one cheap slot loop (its earliest-deadline fire
   clock resets on every release) but no channel access inside it;
-* **etrain** runs the real per-slot loop — Θ-threshold checks, the
-  Lyapunov greedy pick, warm-radio gating and heartbeat drains — but
+* **etrain** runs Algorithm 1 itself — Θ-threshold checks, the
+  Lyapunov greedy pick, warm-radio gating and heartbeat drains —
   vectorized across all devices of the chunk, with the delay-cost sums
   P_i(t) maintained as closed-form aggregates instead of per-packet
-  scans (see below).
+  scans (see below).  It visits only the slots where a device's state
+  can change, one device-asynchronous round per event (see
+  :func:`_simulate_etrain`).
 
 Aggregate delay costs
 ---------------------
@@ -500,7 +502,7 @@ def _build_loopfree(
 
 
 # ---------------------------------------------------------------------------
-# eTrain: the real per-slot loop, vectorized across devices
+# eTrain: Algorithm 1 in device-asynchronous rounds
 # ---------------------------------------------------------------------------
 
 
@@ -540,18 +542,100 @@ def _theta_step_for(kinds_arr: np.ndarray, dls_arr: np.ndarray) -> Callable:
     ``step(u, n_pre, s_pre, n_post, s_post, out)`` writes P(t) per device
     into ``out``: the closed-form Σφ of each app, folded in app order
     (``out += C[a]``) to match the scalar ``instantaneous_cost``
-    left-fold bit for bit.
+    left-fold bit for bit.  ``u`` is a scalar or any array that
+    broadcasts against one app's sums (each element is its own time).
     """
     per_app = [
         (int(kinds_arr[a]), float(dls_arr[a])) for a in range(kinds_arr.shape[0])
     ]
 
     def step(u, n_pre, s_pre, n_post, s_post, out):
-        out[:] = 0.0
+        out[...] = 0.0
         for a, (kind, dl) in enumerate(per_app):
             out += _cost_aggregate(kind, dl, u, n_pre[a], s_pre[a], n_post[a], s_post[a])
 
     return step
+
+
+#: Per cost kind, the (pre, post, count) coefficients of its closed form
+#: ``P = (pre·(n_pre·u − s_pre) + post·(n_post·u − s_post))/D + count·n_post``.
+_KIND_COEF = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 2.0], [1.0, 3.0, -2.0]])
+
+
+def _theta_crossing_for(kinds_arr: np.ndarray, dls_arr: np.ndarray) -> Callable:
+    """The Θ-crossing search bound to one chunk's app axis.
+
+    ``cross(lo, hi, theta, sums)`` returns, per device column, the first
+    slot ``t`` in ``[lo, hi)`` at which the Θ step gives ``P(t) >= theta``,
+    or ``hi`` when there is none; ``sums`` stacks (n_pre, s_pre, n_post,
+    s_post), each (apps, devices).  With the sums fixed every cost kind
+    is non-decreasing in ``u``, and so is each IEEE operation of the
+    step, so the float ``P`` is monotone in ``t``.  A closed-form guess
+    of the linear crossing is therefore made exact by checking ``P`` at
+    the guess and one slot before it, stepping until both checks hold.
+    """
+    step = _theta_step_for(kinds_arr, dls_arr)
+    A = kinds_arr.shape[0]
+    coef = _KIND_COEF[np.asarray(kinds_arr, dtype=np.int64)]
+    c_pre, c_post, c_cnt = coef[:, 0] / dls_arr, coef[:, 1] / dls_arr, coef[:, 2]
+    # (slope, intercept) of the linear P as one product with the sums
+    lin = np.zeros((2, 4, A))
+    lin[0, 0], lin[0, 2] = c_pre, c_post
+    lin[1, 1], lin[1, 2], lin[1, 3] = -c_pre, c_cnt, -c_post
+    lin = lin.reshape(2, 4 * A)
+
+    def cross(lo, hi, theta, sums):
+        lo = lo.astype(np.float64)
+        hi = hi.astype(np.float64)
+        theta = np.broadcast_to(theta, lo.shape)
+        slope, icpt = lin @ sums.reshape(4 * A, -1)
+        # A zero slope means a constant P: every u term is multiplied by
+        # an exact zero count.
+        rising = slope > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guess = np.ceil((theta - icpt) / slope)
+        g = np.clip(np.where(rising, guess, lo), lo, hi)
+        cols = None  # every column on the first pass
+        while True:
+            if cols is None:
+                gi, li, hi_i, th, sub = g, lo, hi, theta, sums
+            else:
+                gi, li, hi_i, th = g[cols], lo[cols], hi[cols], theta[cols]
+                sub = sums[:, :, cols]
+            # P at the guess and one slot before, in one step call
+            u = np.empty((2, gi.size))
+            u[0] = gi
+            np.subtract(gi, 1.0, out=u[1])
+            P = np.empty_like(u)
+            step(u, sub[0], sub[1], sub[2], sub[3], P)
+            at_or_after = (gi >= hi_i) | (P[0] >= th)
+            up = np.flatnonzero(~at_or_after)
+            down = np.flatnonzero(at_or_after & (gi > li) & (P[1] >= th))
+            if not (up.size or down.size):
+                return g.astype(np.int64)
+            idx = np.arange(gi.size) if cols is None else cols
+            if up.size:
+                rise = rising[idx[up]]
+                g[idx[up]] = np.where(rise, gi[up] + 1.0, hi_i[up])
+                up = up[rise]  # a constant P that misses never crosses
+            g[idx[down]] = gi[down] - 1.0
+            cols = idx[np.concatenate((up, down))]
+            if not cols.size:
+                return g.astype(np.int64)
+
+    return cross
+
+
+def _run_ends(cell: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Per flat packet, one past the last packet of its (cell, key) run."""
+    n = cell.size
+    if n == 0:
+        return np.empty(0, np.int64)
+    new = np.ones(n, dtype=bool)
+    new[1:] = (cell[1:] != cell[:-1]) | (key[1:] != key[:-1])
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], n)
+    return ends[np.cumsum(new) - 1]
 
 
 def _simulate_etrain(
@@ -571,107 +655,105 @@ def _simulate_etrain(
     on_release=None,
     defer=None,
 ) -> FleetChunkRaw:
+    """Algorithm 1 over a chunk, one round per device event.
+
+    A device's state only changes in slots where a packet is delivered,
+    a queued packet crosses its deadline, a heartbeat departs, a deferred
+    buffer may release, or P(t) reaches Θ.  Each round moves every device
+    to its own next such slot (the Θ crossing comes from the monotone
+    search of :func:`_theta_crossing_for`) and runs that slot's steps for
+    all of them at once, so the loop runs once per event of the busiest
+    device rather than once per slot.  Rows are emitted in round order
+    and put back into per-slot order at the end: within a slot, Θ
+    releases by app then device, deferred releases by device, heartbeat
+    carriers by device, heartbeats of rank >= 1 by rank then device, and
+    the final flush after the last slot.
+
+    ``on_release(pick_dev, pick_slot, pick_delay, hb_dev, hb_slot, hb_lo,
+    hb_hi)`` receives each round's selection-time releases: single Θ
+    picks with their delays, and heartbeat drains as (apps, n) flat
+    packet bounds of the queue frozen before the drain.
+    """
     clk = time.perf_counter if profiler is not None else None
     t_setup = clk() if clk else 0.0
 
     A, D = w.n_apps, w.n_devices
+    AD = A * D
     tail_time = pm.tail_time
     horizon = w.horizon
-
-    garr = [w.arrivals[a] for a in range(A)]
-    gsize = [w.sizes[a].astype(np.float64) for a in range(A)]
-    gdev = [
-        np.repeat(np.arange(D, dtype=np.int64), np.diff(w.offsets[a])) for a in range(A)
-    ]
     kinds = [int(k) for k in w.cost_kinds]
     dls = [float(d) for d in w.deadlines]
     kinds_arr = np.asarray(kinds, dtype=np.int64)
     dls_arr = np.asarray(dls, dtype=np.float64)
     theta_costs = _theta_step_for(kinds_arr, dls_arr)
+    theta_cross = _theta_crossing_for(kinds_arr, dls_arr)
+    theta_dev = np.broadcast_to(np.asarray(theta, dtype=np.float64), (D,))
 
-    # App-major flat packet streams: one scatter per slot step instead of
-    # one per (app, slot).  Concatenating app-major and sorting stably by
-    # slot keeps every (app, device) cell's accumulation order identical
-    # to the old per-app loops, so the running sums stay bit-for-bit.
-    kp = [_transition_slots(garr[a], dls[a]) for a in range(A)]
-    n_per_app = np.asarray([garr[a].size for a in range(A)], dtype=np.int64)
-    empty_i64 = np.empty(0, np.int64)
-    empty_f64 = np.empty(0, np.float64)
-    fl_app = np.repeat(np.arange(A, dtype=np.int64), n_per_app)
-    fl_idx = (
-        np.concatenate([np.arange(n, dtype=np.int64) for n in n_per_app])
-        if A
-        else empty_i64
-    )
-    fl_dev = np.concatenate(gdev) if A else empty_i64
-    fl_arr = np.concatenate(garr) if A else empty_f64
-    fl_size = np.concatenate(gsize) if A else empty_f64
-    fl_lin = fl_app * D + fl_dev
+    # Packets in the app-major flat order of ``pk_*``.  A cell is one
+    # (app, device) queue, numbered ``app * D + device`` in the same order.
+    N = pk_arr.size
+    size_f = pk_size.astype(np.float64)
+    cell = pk_app * D + pk_dev
+    cell_lo = np.searchsorted(cell, np.arange(AD))
+    kd = _delivery_slots(pk_arr, n_slots)
+    kp = _transition_slots(pk_arr, dls_arr[pk_app])
+    dl_end = _run_ends(cell, kd)
+    tr_end = _run_ends(cell, kp)
+    # Per-packet event slots, padded with one "none" (n_slots) after each
+    # cell: pointer ``j`` of cell ``c`` reads position ``j + c``, and a
+    # pointer at the cell's end reads its pad.
+    pad = np.arange(N) + cell
 
-    kd_all = (
-        np.concatenate([_delivery_slots(garr[a], n_slots) for a in range(A)])
-        if A
-        else empty_i64
-    )
-    do = np.argsort(kd_all, kind="stable")
-    dl_lin, dl_arr, dl_size = fl_lin[do], fl_arr[do], fl_size[do]
-    dbnd = np.searchsorted(kd_all[do], np.arange(n_slots + 1))
-    has_del = dbnd[1:] > dbnd[:-1]
+    def padded(v):
+        out = np.full(N + AD, n_slots, dtype=np.int64)
+        out[pad] = np.minimum(v, n_slots)
+        return out
 
-    kc_all = (
-        np.concatenate([np.minimum(kp[a], n_slots + 2) for a in range(A)])
-        if A
-        else empty_i64
-    )
-    to = np.argsort(kc_all, kind="stable")
-    tr_lin, tr_arr, tr_idx = fl_lin[to], fl_arr[to], fl_idx[to]
-    tbnd = np.searchsorted(kc_all[to], np.arange(n_slots + 3))
-    t_any = tbnd[1:] > tbnd[:-1]
-    has_tr = t_any[:n_slots] | t_any[1 : n_slots + 1]
+    kd_p, kp_p, kpm_p = padded(kd), padded(kp), padded(kp - 1)
 
-    # head-arrival gather tables for the vectorized greedy step
-    abase = np.concatenate(([0], np.cumsum(n_per_app)))[:-1]
-    aclip = np.maximum(n_per_app - 1, 0)
-    n_total = int(n_per_app.sum()) if A else 0
-    abase_col = abase[:, None]
-    aclip_col = aclip[:, None]
-    gi_max = max(n_total - 1, 0)
-    G_buf = np.empty((A, D), dtype=np.float64)
-    dev_ar = np.arange(D, dtype=np.int64)
+    # queue pointers per cell (flat packet indices): delivered below
+    # ``tail``, selected below ``head``, in/spec-set transitions applied
+    # below ``tin``/``tsp``
+    head = cell_lo.copy()
+    tail = cell_lo.copy()
+    tin = cell_lo.copy()
+    tsp = cell_lo.copy()
+    aoff = (np.arange(A, dtype=np.int64) * D)[:, None]  # + device: (A, n) cells
 
-    # heartbeat table bucketed by slot (within a slot: by device, rank)
+    # heartbeats grouped per (device, slot); rank 0 is the carrier
     h_time, h_dev, h_train, h_slot, h_rank = _heartbeat_table(w, n_slots)
-    horder = np.lexsort((h_rank, h_dev, h_slot))
-    h_time, h_dev, h_train, h_slot, h_rank = (
-        h_time[horder],
-        h_dev[horder],
-        h_train[horder],
-        h_slot[horder],
-        h_rank[horder],
-    )
-    hbnd = np.searchsorted(h_slot, np.arange(n_slots + 1))
+    g_first = np.flatnonzero(h_rank == 0)
+    g_len = np.diff(np.append(g_first, h_rank.size))
+    g_dev_end = np.searchsorted(h_dev[g_first], np.arange(D), side="right")
+    hg_ptr = np.searchsorted(h_dev[g_first], np.arange(D))
+    g_slot_x = np.append(h_slot[g_first], n_slots)
+    n_groups = g_first.size
     h_sizes = w.train_sizes.astype(np.float64)
     max_rank = int(h_rank.max()) if h_rank.size else 0
 
-    # state
-    zeros = lambda dt: np.zeros((A, D), dtype=dt)  # noqa: E731
-    in_pre_n, in_pre_s = zeros(np.float64), zeros(np.float64)
-    in_post_n, in_post_s = zeros(np.float64), zeros(np.float64)
-    sp_pre_n, sp_pre_s = zeros(np.float64), zeros(np.float64)
-    sp_post_n, sp_post_s = zeros(np.float64), zeros(np.float64)
-    wait_bytes = zeros(np.float64)
-    if A:
-        head = np.stack([w.offsets[a][:-1] for a in range(A)]).astype(np.int64)
-    else:
-        head = np.zeros((0, D), dtype=np.int64)
-    tail = head.copy()
-    # flat views shared with the app-major scatter streams
-    head_f, tail_f = head.reshape(-1), tail.reshape(-1)
-    in_pre_n_f, in_pre_s_f = in_pre_n.reshape(-1), in_pre_s.reshape(-1)
-    in_post_n_f, in_post_s_f = in_post_n.reshape(-1), in_post_s.reshape(-1)
-    sp_pre_n_f, sp_pre_s_f = sp_pre_n.reshape(-1), sp_pre_s.reshape(-1)
-    sp_post_n_f, sp_post_s_f = sp_post_n.reshape(-1), sp_post_s.reshape(-1)
-    wait_bytes_f = wait_bytes.reshape(-1)
+    # Next slot of each scheduled event per device: rows [0, A) delivery,
+    # [A, 2A) in-set transition, [2A, 3A) spec-set transition (one row
+    # per app), then heartbeat and deferred release.
+    NX = np.full((3 * A + 2, D), n_slots, dtype=np.int64)
+    nd = NX[:A].reshape(-1)
+    ni = NX[A : 2 * A].reshape(-1)
+    ns = NX[2 * A : 3 * A].reshape(-1)
+    nh = NX[3 * A]
+    nf = NX[3 * A + 1]
+    nd[:] = kd_p[tail + np.arange(AD)]
+    ni[:] = kp_p[tin + np.arange(AD)]
+    ns[:] = kpm_p[tsp + np.arange(AD)]
+    nh[:] = g_slot_x[np.where(hg_ptr < g_dev_end, hg_ptr, n_groups)]
+
+    # Running sums: Z[0] classifies packets at slot time t (the Θ check),
+    # Z[1] at t + 1 (the speculative costs of the greedy gain); each
+    # stacks (n_pre, s_pre, n_post, s_post) x (app, device).
+    Z = np.zeros((2, 4, A, D), dtype=np.float64)
+    IN = Z[0]
+    in_rows = list(Z[0].reshape(4, AD))  # 1-D views per cell
+    sp_rows = list(Z[1].reshape(4, AD))
+    wait_f = np.zeros(AD, dtype=np.float64)  # queued bytes per cell
+    qn = np.zeros(D, dtype=np.int64)  # queued packets per device
     held_bytes = np.zeros(D, dtype=np.float64)
     held_cnt = np.zeros(D, dtype=np.int64)
     # channel-aware deferral buffers (``defer=(release_ok, max_defer)``):
@@ -682,247 +764,256 @@ def _simulate_etrain(
     # turned non-empty (the scalar ``_defer_started``).
     if defer is not None:
         release_ok, max_defer = defer
+        release_ok = np.asarray(release_ok, dtype=bool)
+        # first slot >= i whose quality clears the gate
+        ok_slots = np.append(np.flatnonzero(release_ok[:n_slots]), n_slots)
+        next_ok = ok_slots[np.searchsorted(ok_slots, np.arange(n_slots + 1))]
+        # over integer slot times, (t - start) >= max_defer holds from
+        # start + ceil(max_defer) on (never for inf or nan)
+        patience = (
+            min(math.ceil(max_defer), n_slots) if math.isfinite(max_defer) else None
+        )
         def_bytes = np.zeros(D, dtype=np.float64)
         def_cnt = np.zeros(D, dtype=np.int64)
         def_start = np.zeros(D, dtype=np.float64)
         def_flats: List[List[int]] = [[] for _ in range(D)]
     busy = np.zeros(D, dtype=np.float64)
     has_rec = np.zeros(D, dtype=bool)
-    P = np.zeros(D, dtype=np.float64)
+    cur = np.zeros(D, dtype=np.int64)  # first slot not yet visited
 
-    # outputs accumulated per slot (geometric buffers: see _GrowBuffer)
+    # outputs, in round order (geometric buffers: see _GrowBuffer); the
+    # row key puts them back into per-slot order at the end
     b_dev = _GrowBuffer(np.int64)
     b_start = _GrowBuffer(np.float64)
     b_dur = _GrowBuffer(np.float64)
     b_size = _GrowBuffer(np.float64)
     b_kind = _GrowBuffer(np.int8)
+    b_key = _GrowBuffer(np.int64)
     b_count = 0
+    n_cat = 3 + max_rank  # Θ, deferred, carrier, ranks 1..max_rank
     dd_dev: List[np.ndarray] = []
     dd_slot: List[np.ndarray] = []
     dd_row: List[np.ndarray] = []
-    dd_lo: List[List[np.ndarray]] = [[] for _ in range(A)]
-    dd_hi: List[List[np.ndarray]] = [[] for _ in range(A)]
+    dd_lo: List[np.ndarray] = []
+    dd_hi: List[np.ndarray] = []
     pw_flat: List[np.ndarray] = []
     pw_row: List[np.ndarray] = []
     pc_flat: List[np.ndarray] = []
     pc_dev: List[np.ndarray] = []
     pc_slot: List[np.ndarray] = []
 
-    def emit(devs, reqs, sizes, kind):
+    def emit(devs, reqs, sizes, kinds_, keys):
+        """Append bursts (each device at most once); returns their rows."""
         nonlocal b_count
         starts = np.maximum(reqs, busy[devs])
         durs = table.durations(starts, sizes)
         busy[devs] = starts + durs
         has_rec[devs] = True
-        rows = b_count + np.arange(devs.size, dtype=np.int64)
+        rows = np.arange(b_count, b_count + devs.size, dtype=np.int64)
         b_count += devs.size
         b_dev.extend(devs)
         b_start.extend(starts)
         b_dur.extend(durs)
         b_size.extend(sizes)
-        b_kind.extend(np.full(devs.size, kind, dtype=np.int8))
+        b_kind.extend(kinds_)
+        b_key.extend(keys)
         return rows
 
-    agg_sets = (
-        in_pre_n,
-        in_pre_s,
-        in_post_n,
-        in_post_s,
-        sp_pre_n,
-        sp_pre_s,
-        sp_post_n,
-        sp_post_s,
-    )
+    pending = []  # this round's bursts, sent in one emit call
+
+    def send(devs, reqs, sizes, kinds_, keys):
+        """Queue bursts for the round's emit; returns their rows.  Each
+        device sends at most one data burst or one carrier in a slot."""
+        first = b_count + sum(p[0].size for p in pending)
+        pending.append((devs, reqs, sizes, kinds_, keys))
+        return np.arange(first, first + devs.size, dtype=np.int64)
+
+    def row_key(slots, cat, sub, devs):
+        return ((slots * n_cat + cat) * (A + 1) + sub) * D + devs
+
+    def retarget(c):
+        """Re-read the next transition slots of cells whose head moved."""
+        h = head[c]
+        ni[c] = kp_p[np.maximum(h, tin[c]) + c]
+        ns[c] = kpm_p[np.maximum(h, tsp[c]) + c]
+
+    def flats(devs):
+        return np.asarray([f for d in devs for f in def_flats[d]], dtype=np.int64)
 
     if clk:
         profiler.add("etrain.setup", clk() - t_setup)
         acc_q = acc_d = acc_h = 0.0
 
-    for i in range(n_slots):
-        t = float(i)
+    never = np.full(D, np.inf)
+    P = np.empty(D, dtype=np.float64)
+    rounds = 0
+    while True:
         if clk:
             ts = clk()
-        rel_dev: List[np.ndarray] = []
-        rel_delay: List[np.ndarray] = []
-        hbq = hb_lo = hb_hi = None
+        # next event per device: the earliest scheduled one, or an earlier
+        # Θ crossing while packets are queued
+        es = NX.min(axis=0)
+        es = theta_cross(cur, es, np.where(qn > 0, theta_dev, never), IN)
+        live = es < n_slots
+        ev = np.flatnonzero(live)
+        if not ev.size:
+            break
+        rounds += 1
+        if clk:  # finding the crossings is part of the Θ decision
+            acc_d += clk() - ts
+            ts = clk()
+        e_cmp = np.where(live, es, -1)
+        tf = es.astype(np.float64)
+        picks = drains = None  # for on_release
         # 1. deliveries (arrival <= t): enter both aggregate sets as pre
-        if has_del[i]:
-            sl = slice(dbnd[i], dbnd[i + 1])
-            lin = dl_lin[sl]
-            ar = dl_arr[sl]
-            np.add.at(in_pre_n_f, lin, 1.0)
-            np.add.at(in_pre_s_f, lin, ar)
-            np.add.at(sp_pre_n_f, lin, 1.0)
-            np.add.at(sp_pre_s_f, lin, ar)
-            np.add.at(wait_bytes_f, lin, dl_size[sl])
-            np.add.at(tail_f, lin, 1)
+        c = np.flatnonzero(NX[:A] == e_cmp)
+        if c.size:
+            lo = tail[c]
+            hi = dl_end[lo]
+            idx, lens = _csr_expand(lo, hi)
+            lin = np.repeat(c, lens)
+            ar = pk_arr[idx]
+            for rows_ in (in_rows, sp_rows):
+                rows_[0][c] += lens
+                np.add.at(rows_[1], lin, ar)
+            np.add.at(wait_f, lin, size_f[idx])
+            tail[c] = hi
+            nd[c] = kd_p[hi + c]
+            np.add.at(qn, c % D, lens)
         # 2. pre->post transitions for still-queued packets
-        if has_tr[i]:
-            for bucket, (npre_f, spre_f, npost_f, spost_f) in (
-                (i, (in_pre_n_f, in_pre_s_f, in_post_n_f, in_post_s_f)),
-                (i + 1, (sp_pre_n_f, sp_pre_s_f, sp_post_n_f, sp_post_s_f)),
-            ):
-                if tbnd[bucket + 1] > tbnd[bucket]:
-                    sl = slice(tbnd[bucket], tbnd[bucket + 1])
-                    lin = tr_lin[sl]
-                    act = tr_idx[sl] >= head_f[lin]
-                    if act.any():
-                        lin = lin[act]
-                        ar = tr_arr[sl][act]
-                        np.add.at(npre_f, lin, -1.0)
-                        np.add.at(spre_f, lin, -ar)
-                        np.add.at(npost_f, lin, 1.0)
-                        np.add.at(spost_f, lin, ar)
+        for r0, ptr, rows_, nx, slots_p in (
+            (A, tin, in_rows, ni, kp_p),
+            (2 * A, tsp, sp_rows, ns, kpm_p),
+        ):
+            c = np.flatnonzero(NX[r0 : r0 + A] == e_cmp)
+            if c.size:
+                lo = np.maximum(head[c], ptr[c])
+                hi = tr_end[lo]
+                idx, lens = _csr_expand(lo, hi)
+                lin = np.repeat(c, lens)
+                ar = pk_arr[idx]
+                rows_[0][c] -= lens
+                np.add.at(rows_[1], lin, -ar)
+                rows_[2][c] += lens
+                np.add.at(rows_[3], lin, ar)
+                ptr[c] = hi
+                nx[c] = slots_p[hi + c]
         # 3. which devices see a heartbeat this slot
-        hsl = slice(hbnd[i], hbnd[i + 1])
-        hb_any = hbnd[i + 1] > hbnd[i]
-        if hb_any:
-            sl_rank = h_rank[hsl]
-            hb_devs = h_dev[hsl][sl_rank == 0]  # unique, ascending
+        hbm = nh == e_cmp
         if clk:
             acc_q += clk() - ts
             ts = clk()
-        # 4. theta check on non-heartbeat devices
-        theta_costs(t, in_pre_n, in_pre_s, in_post_n, in_post_s, P)
-        fire = P >= theta
-        if hb_any:
-            fire[hb_devs] = False
-        fd = np.nonzero(fire)[0]
+        # 4. theta check on non-heartbeat devices with queued packets
+        theta_costs(tf, IN[0], IN[1], IN[2], IN[3], P)
+        fd = np.flatnonzero(live & ~hbm & (qn > 0) & (P >= theta_dev))
         # 5. single greedy pick per fired device: one masked reduction
-        # over an (apps x fired) gain matrix instead of per-device Python
+        # over an (apps x fired) gain matrix
         if fd.size:
-            u = t + 1.0
-            h = head[:, fd]  # (A, F)
-            has = h < tail[:, fd]
-            G = G_buf[:, : fd.size]
-            G.fill(-np.inf)
-            if has.any():
-                gi = abase_col + np.minimum(h, aclip_col)
-                ar_h = fl_arr[np.minimum(gi, gi_max)]
-                with np.errstate(invalid="ignore"):
-                    for a in range(A):
-                        kind, dl = kinds[a], dls[a]
-                        pb = _cost_aggregate(
-                            kind,
-                            dl,
-                            u,
-                            sp_pre_n[a, fd],
-                            sp_pre_s[a, fd],
-                            sp_post_n[a, fd],
-                            sp_post_s[a, fd],
-                        )
-                        s = _head_spec_raw(kind, dl, u - ar_h[a])
-                        G[a] = np.where(has[a], pb * s - 0.5 * s * s, -np.inf)
+            ft, fs = tf[fd], es[fd]
+            u = ft + 1.0
+            cf = aoff + fd  # (A, F) cells
+            h = head[cf]
+            has = h < tail[cf]
+            ar_h = pk_arr[np.minimum(h, N - 1)]
+            S = [r[cf] for r in sp_rows]
+            G = np.empty((A, fd.size))
+            with np.errstate(invalid="ignore"):
+                for a in range(A):
+                    kind, dl = kinds[a], dls[a]
+                    pb = _cost_aggregate(kind, dl, u, S[0][a], S[1][a], S[2][a], S[3][a])
+                    s = _head_spec_raw(kind, dl, u - ar_h[a])
+                    G[a] = np.where(has[a], pb * s - 0.5 * s * s, -np.inf)
             best = np.argmax(G, axis=0)  # first max wins, like the greedy scan
-            gmax = G[best, dev_ar[: fd.size]]
-            picked = gmax > 0.0
-            fd = fd[picked]
-            best = best[picked]
-            warm_devs: List[np.ndarray] = []
-            warm_sizes: List[np.ndarray] = []
-            warm_flats: List[np.ndarray] = []
-            for a in range(A):
-                da = fd[best == a]
-                if not da.size:
-                    continue
-                g = head[a][da]
-                ar = garr[a][g]
-                sz = gsize[a][g]
-                if on_release is not None:
-                    rel_dev.append(da)
-                    rel_delay.append(np.maximum(0.0, t - ar))
-                post_i = kp[a][g] <= i
-                post_s = kp[a][g] <= i + 1
-                for post, (npre, spre, npost, spost) in (
-                    (post_i, (in_pre_n[a], in_pre_s[a], in_post_n[a], in_post_s[a])),
-                    (post_s, (sp_pre_n[a], sp_pre_s[a], sp_post_n[a], sp_post_s[a])),
-                ):
-                    dp, ap = da[~post], ar[~post]
-                    npre[dp] -= 1.0
-                    spre[dp] -= ap
-                    dq, aq = da[post], ar[post]
-                    npost[dq] -= 1.0
-                    spost[dq] -= aq
-                wait_bytes[a][da] -= sz
-                head[a][da] += 1
-                if defer is not None:
-                    # New releases join the buffer before this slot's
-                    # quality check (step 5b), like the scalar decide.
-                    fresh = def_cnt[da] == 0
-                    def_start[da[fresh]] = t
-                    def_bytes[da] += sz
-                    def_cnt[da] += 1
-                    flat = base[a] + g
-                    for j, d in enumerate(da):
-                        def_flats[d].append(int(flat[j]))
-                    continue
+            picked = G[best, np.arange(fd.size)] > 0.0
+            fd, ft, fs, best = fd[picked], ft[picked], fs[picked], best[picked]
+        if fd.size:
+            c = best * D + fd
+            g = head[c]
+            ar = pk_arr[g]
+            sz = size_f[g]
+            if on_release is not None:
+                picks = (fd, fs, np.maximum(0.0, ft - ar))
+            kg = kp[g]
+            for post, rows_ in ((kg <= fs, in_rows), (kg <= fs + 1, sp_rows)):
+                cp, ap = c[~post], ar[~post]
+                rows_[0][cp] -= 1.0
+                rows_[1][cp] -= ap
+                cq, aq = c[post], ar[post]
+                rows_[2][cq] -= 1.0
+                rows_[3][cq] -= aq
+            wait_f[c] -= sz
+            head[c] = g + 1
+            qn[fd] -= 1
+            retarget(c)
+            if defer is not None:
+                # New releases join the buffer before this slot's
+                # quality check (step 5b), like the scalar decide.
+                fresh = def_cnt[fd] == 0
+                def_start[fd[fresh]] = ft[fresh]
+                def_bytes[fd] += sz
+                def_cnt[fd] += 1
+                for j, d in enumerate(fd):
+                    def_flats[d].append(int(g[j]))
+            else:
                 warm = (
-                    has_rec[da] & (t < busy[da] + tail_time)
+                    has_rec[fd] & (ft < busy[fd] + tail_time)
                     if warm_gate
-                    else np.ones(da.size, dtype=bool)
+                    else np.ones(fd.size, dtype=bool)
                 )
                 if not warm.all():
                     cold = ~warm
-                    cd = da[cold]
+                    cd = fd[cold]
                     held_bytes[cd] += sz[cold]
                     held_cnt[cd] += 1
-                    pc_flat.append(base[a] + g[cold])
+                    pc_flat.append(g[cold])
                     pc_dev.append(cd)
-                    pc_slot.append(np.full(cd.size, i, dtype=np.int64))
+                    pc_slot.append(fs[cold])
                 if warm.any():
-                    warm_devs.append(da[warm])
-                    warm_sizes.append(sz[warm])
-                    warm_flats.append(base[a] + g[warm])
-            if warm_devs:
-                devs = np.concatenate(warm_devs)
-                rows = emit(
-                    devs,
-                    np.full(devs.size, t),
-                    np.concatenate(warm_sizes),
-                    KIND_DATA,
-                )
-                pw_flat.append(np.concatenate(warm_flats))
-                pw_row.append(rows)
+                    wd = fd[warm]
+                    pw_row.append(
+                        send(
+                            wd,
+                            ft[warm],
+                            sz[warm],
+                            np.full(wd.size, KIND_DATA, dtype=np.int8),
+                            row_key(fs[warm], 0, best[warm], wd),
+                        )
+                    )
+                    pw_flat.append(g[warm])
         # 5b. channel-aware release: drain a device's deferred buffer when
         # the slot's quality clears the gate or patience has run out.
         # Heartbeat devices skip this — their buffer rides the carrier in
         # step 6, matching the scalar heartbeat branch.
         if defer is not None:
-            rel = def_cnt > 0
-            if hb_any:
-                rel[hb_devs] = False
-            if not release_ok[i]:
-                rel &= (t - def_start) >= max_defer
-            rd = np.nonzero(rel)[0]
+            rd = np.flatnonzero(live & ~hbm & (def_cnt > 0))
+            rs, rt = es[rd], tf[rd]
+            ok = release_ok[rs] | ((rt - def_start[rd]) >= max_defer)
+            rd, rs, rt = rd[ok], rs[ok], rt[ok]
             if rd.size:
                 warm = (
-                    has_rec[rd] & (t < busy[rd] + tail_time)
+                    has_rec[rd] & (rt < busy[rd] + tail_time)
                     if warm_gate
                     else np.ones(rd.size, dtype=bool)
                 )
                 wd, cd = rd[warm], rd[~warm]
                 if wd.size:
-                    rows = emit(wd, np.full(wd.size, t), def_bytes[wd], KIND_DATA)
-                    pw_flat.append(
-                        np.asarray(
-                            [f for d in wd for f in def_flats[d]], dtype=np.int64
-                        )
+                    rows = send(
+                        wd,
+                        rt[warm],
+                        def_bytes[wd],
+                        np.full(wd.size, KIND_DATA, dtype=np.int8),
+                        row_key(rs[warm], 1, 0, wd),
                     )
                     pw_row.append(np.repeat(rows, def_cnt[wd]))
+                    pw_flat.append(flats(wd))
                 if cd.size:
                     # Cold release: park with the held bytes; the packets
                     # ride the device's next heartbeat (or final flush).
                     held_bytes[cd] += def_bytes[cd]
                     held_cnt[cd] += def_cnt[cd]
-                    pc_flat.append(
-                        np.asarray(
-                            [f for d in cd for f in def_flats[d]], dtype=np.int64
-                        )
-                    )
+                    pc_flat.append(flats(cd))
                     pc_dev.append(np.repeat(cd, def_cnt[cd]))
-                    pc_slot.append(
-                        np.full(int(def_cnt[cd].sum()), i, dtype=np.int64)
-                    )
+                    pc_slot.append(np.repeat(rs[~warm], def_cnt[cd]))
                 def_bytes[rd] = 0.0
                 def_cnt[rd] = 0
                 for d in rd:
@@ -931,116 +1022,137 @@ def _simulate_etrain(
             acc_d += clk() - ts
             ts = clk()
         # 6. heartbeat slots: full drain rides the carrier, rest go bare
-        if hb_any:
-            sl_dev = h_dev[hsl]
-            sl_time = h_time[hsl]
-            sl_train = h_train[hsl]
-            car = sl_rank == 0
-            q_bytes = wait_bytes[:, hb_devs].sum(axis=0)
-            q_cnt = (tail[:, hb_devs] - head[:, hb_devs]).sum(axis=0)
-            payload = held_bytes[hb_devs] + q_bytes
-            pay_cnt = held_cnt[hb_devs] + q_cnt
+        hbd = np.flatnonzero(hbm)
+        if hbd.size:
+            hs = es[hbd]
+            gi = hg_ptr[hbd]
+            rows0 = g_first[gi]
+            ch = aoff + hbd  # (A, H) cells
+            q_cnt = qn[hbd]
+            payload = held_bytes[hbd] + wait_f[ch].sum(axis=0)
+            pay_cnt = held_cnt[hbd] + q_cnt
             if defer is not None:
-                payload = payload + def_bytes[hb_devs]
-                pay_cnt = pay_cnt + def_cnt[hb_devs]
+                payload = payload + def_bytes[hbd]
+                pay_cnt = pay_cnt + def_cnt[hbd]
+            lo, hi = head[ch], tail[ch]
             if on_release is not None:
                 # Queue bounds frozen before the drain resets them; only
                 # devices whose scalar decide would release anything.
-                hbq = hb_devs[q_cnt > 0]
-                hb_lo = [head[a][hbq].copy() for a in range(A)]
-                hb_hi = [tail[a][hbq].copy() for a in range(A)]
-            c_size = h_sizes[sl_train[car]] + payload
-            rows = emit(hb_devs, sl_time[car], c_size, KIND_HEARTBEAT)
-            # fix kinds for carriers that actually carried payload
-            b_kind.view()[rows[pay_cnt > 0]] = KIND_PIGGYBACK
-            dd_dev.append(hb_devs)
-            dd_slot.append(np.full(hb_devs.size, i, dtype=np.int64))
-            dd_row.append(rows)
-            for a in range(A):
-                dd_lo[a].append(head[a][hb_devs].copy())
-                dd_hi[a].append(tail[a][hb_devs].copy())
-            head[:, hb_devs] = tail[:, hb_devs]
-            for arrs in agg_sets:
-                arrs[:, hb_devs] = 0.0
-            wait_bytes[:, hb_devs] = 0.0
-            held_bytes[hb_devs] = 0.0
-            held_cnt[hb_devs] = 0
+                qm = q_cnt > 0
+                drains = (hbd[qm], hs[qm], lo[:, qm], hi[:, qm])
+            rows = send(
+                hbd,
+                h_time[rows0],
+                h_sizes[h_train[rows0]] + payload,
+                np.where(pay_cnt > 0, KIND_PIGGYBACK, KIND_HEARTBEAT).astype(np.int8),
+                row_key(hs, 2, 0, hbd),
+            )
             if defer is not None:
-                hd = def_cnt[hb_devs] > 0
+                hd = def_cnt[hbd] > 0
                 if hd.any():
-                    hdev = hb_devs[hd]
-                    pw_flat.append(
-                        np.asarray(
-                            [f for d in hdev for f in def_flats[d]],
-                            dtype=np.int64,
-                        )
-                    )
+                    hdev = hbd[hd]
                     pw_row.append(np.repeat(rows[hd], def_cnt[hdev]))
+                    pw_flat.append(flats(hdev))
                     def_bytes[hdev] = 0.0
                     def_cnt[hdev] = 0
                     for d in hdev:
                         def_flats[d] = []
+            dd_dev.append(hbd)
+            dd_slot.append(hs)
+            dd_row.append(rows)
+            dd_lo.append(lo)
+            dd_hi.append(hi)
+            head[ch] = hi
+            for r in in_rows + sp_rows:
+                r[ch] = 0.0
+            wait_f[ch] = 0.0
+            held_bytes[hbd] = 0.0
+            held_cnt[hbd] = 0
+            qn[hbd] = 0
+            retarget(ch)
+        if pending:
+            emit(*(np.concatenate(a) for a in zip(*pending)))
+            pending.clear()
+        if hbd.size:
+            # the rest of a slot's heartbeats go bare, after the carrier
             for r in range(1, max_rank + 1):
-                m = sl_rank == r
+                m = g_len[gi] > r
                 if not m.any():
                     continue
-                emit(sl_dev[m], sl_time[m], h_sizes[sl_train[m]], KIND_HEARTBEAT)
-        # 7. controller hook: this slot's selection-time releases, in the
-        # scalar decide order (single theta picks; heartbeat drains with
-        # pre-reset queue bounds so the callback can replay pick order)
-        if on_release is not None and (
-            rel_dev or (hbq is not None and hbq.size)
-        ):
+                rr = rows0[m] + r
+                emit(
+                    hbd[m],
+                    h_time[rr],
+                    h_sizes[h_train[rr]],
+                    np.full(rr.size, KIND_HEARTBEAT, dtype=np.int8),
+                    row_key(hs[m], 2 + r, 0, hbd[m]),
+                )
+            gi = gi + 1
+            hg_ptr[hbd] = gi
+            nh[hbd] = g_slot_x[np.where(gi < g_dev_end[hbd], gi, n_groups)]
+        # 7. controller hook: this round's selection-time releases
+        # (single theta picks; heartbeat drains with pre-reset queue
+        # bounds so the callback can replay pick order)
+        if on_release is not None and (picks or (drains and drains[0].size)):
+            empty = np.empty(0, np.int64)
             on_release(
-                i,
-                np.concatenate(rel_dev) if rel_dev else np.empty(0, np.int64),
-                np.concatenate(rel_delay) if rel_delay else np.empty(0, np.float64),
-                hbq if hbq is not None else np.empty(0, np.int64),
-                hb_lo,
-                hb_hi,
+                *(picks or (empty, empty, np.empty(0, np.float64))),
+                *(drains or (empty, empty, None, None)),
             )
+        np.add(es, 1, out=cur, where=live)
+        if defer is not None:
+            nf[ev] = n_slots
+            wd = np.flatnonzero(live & (def_cnt > 0))
+            if wd.size:
+                nxt = next_ok[es[wd] + 1]
+                if patience is not None:
+                    nxt = np.minimum(nxt, def_start[wd].astype(np.int64) + patience)
+                nf[wd] = np.minimum(nxt, n_slots)
         if clk:
             acc_h += clk() - ts
 
     if clk:
-        profiler.add("etrain.queue_updates", acc_q, calls=n_slots)
-        profiler.add("etrain.decision", acc_d, calls=n_slots)
-        profiler.add("etrain.heartbeats", acc_h, calls=n_slots)
+        profiler.add("etrain.queue_updates", acc_q, calls=rounds)
+        profiler.add("etrain.decision", acc_d, calls=rounds)
+        profiler.add("etrain.heartbeats", acc_h, calls=rounds)
         t_fin = clk()
 
     # end-of-horizon flush: held + still-queued + never-delivered packets
     # (+ still-deferred ones; their pk_burst stays -1 and resolves via
     # the flush_row fallback below, like any other leftover packet)
-    rem_cnt = held_cnt.astype(np.int64).copy()
+    rem_cnt = held_cnt.copy()
     rem_bytes = held_bytes.copy()
     if defer is not None:
         rem_cnt += def_cnt
         rem_bytes += def_bytes
-    byte_prefix = []
     for a in range(A):
-        bp = np.concatenate(([0.0], np.cumsum(gsize[a])))
-        byte_prefix.append(bp)
+        bp = np.concatenate(([0.0], np.cumsum(size_f[base[a] : base[a + 1]])))
         end = w.offsets[a][1:]
-        rem_cnt += end - head[a]
-        rem_bytes += bp[end] - bp[head[a]]
+        h = head[a * D : (a + 1) * D] - base[a]
+        rem_cnt += end - h
+        rem_bytes += bp[end] - bp[h]
     fdevs = np.nonzero(rem_cnt > 0)[0]
     flush_row = np.full(D, -1, dtype=np.int64)
     if fdevs.size:
-        rows = emit(
-            fdevs, np.full(fdevs.size, horizon), rem_bytes[fdevs], KIND_DATA
+        flush_row[fdevs] = emit(
+            fdevs,
+            np.full(fdevs.size, horizon),
+            rem_bytes[fdevs],
+            np.full(fdevs.size, KIND_DATA, dtype=np.int8),
+            row_key(n_slots, 0, 0, fdevs),
         )
-        flush_row[fdevs] = rows
 
     # packet -> burst resolution
-    n_pk = pk_arr.size
-    pk_burst = np.full(n_pk, -1, dtype=np.int64)
+    pk_burst = np.full(N, -1, dtype=np.int64)
     if dd_dev:
+        ddev = np.concatenate(dd_dev)
+        dslot = np.concatenate(dd_slot)
         drow = np.concatenate(dd_row)
-        for a in range(A):
-            lo = np.concatenate(dd_lo[a])
-            hi = np.concatenate(dd_hi[a])
-            idx, lens = _csr_expand(lo, hi)
-            pk_burst[base[a] + idx] = np.repeat(drow, lens)
+        idx, lens = _csr_expand(
+            np.concatenate(dd_lo, axis=1).reshape(-1),
+            np.concatenate(dd_hi, axis=1).reshape(-1),
+        )
+        pk_burst[idx] = np.repeat(np.tile(drow, A), lens)
     if pw_flat:
         pk_burst[np.concatenate(pw_flat)] = np.concatenate(pw_row)
     if pc_flat:
@@ -1048,9 +1160,7 @@ def _simulate_etrain(
         cdev = np.concatenate(pc_dev)
         cslot = np.concatenate(pc_slot)
         if dd_dev:
-            ddev = np.concatenate(dd_dev)
-            dslot = np.concatenate(dd_slot)
-            drow = np.concatenate(dd_row)
+            # a held packet rides its device's next heartbeat drain
             key_mod = n_slots + 2
             key = ddev * key_mod + dslot
             kord = np.argsort(key)
@@ -1067,8 +1177,13 @@ def _simulate_etrain(
     left = pk_burst < 0
     if left.any():
         pk_burst[left] = flush_row[pk_dev[left]]
-    if n_pk and pk_burst.min() < 0:
+    if N and pk_burst.min() < 0:
         raise AssertionError("unresolved packet -> burst mapping")
+
+    # round order -> per-slot order (the keys are unique)
+    perm = np.argsort(b_key.view(), kind="stable")
+    row_of = np.empty(perm.size, dtype=np.int64)
+    row_of[perm] = np.arange(perm.size, dtype=np.int64)
 
     if clk:
         profiler.add("etrain.finalize", clk() - t_fin)
@@ -1077,16 +1192,16 @@ def _simulate_etrain(
         n_devices=D,
         horizon=horizon,
         n_slots=n_slots,
-        burst_dev=b_dev.view(),
-        burst_start=b_start.view(),
-        burst_dur=b_dur.view(),
-        burst_size=b_size.view(),
-        burst_kind=b_kind.view(),
+        burst_dev=b_dev.view()[perm],
+        burst_start=b_start.view()[perm],
+        burst_dur=b_dur.view()[perm],
+        burst_size=b_size.view()[perm],
+        burst_kind=b_kind.view()[perm],
         pk_app=pk_app,
         pk_dev=pk_dev,
         pk_arr=pk_arr,
         pk_size=pk_size,
-        pk_burst=pk_burst,
+        pk_burst=row_of[pk_burst],
         cost_kinds=w.cost_kinds.copy(),
         deadlines=w.deadlines.copy(),
     )

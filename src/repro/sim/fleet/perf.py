@@ -69,9 +69,9 @@ class FleetBenchCase:
     floor: float = FLEET_SPEEDUP_FLOOR
 
 
-#: eTrain needs a real per-slot loop, so its vectorized side amortizes a
-#: fixed ~0.3 ms/slot cost — benchmark it at a population large enough
-#: (4096) that the per-device signal dominates.  The loop-free strategies
+#: eTrain runs one loop round per device event (~1300 in 2 h), so its
+#: vectorized side amortizes a fixed per-round cost — benchmark it at a
+#: population large enough (4096) that the per-device signal dominates.  The loop-free strategies
 #: scale near-linearly and run at larger populations.
 FLEET_BENCH_CASES: List[FleetBenchCase] = [
     FleetBenchCase(

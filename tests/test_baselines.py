@@ -118,6 +118,28 @@ class TestBandwidthEstimator:
         assert est.estimate(last) == 1_000.0 * base._noise_factor("far", 0.2, int(last))
         assert len(base._NOISE_TABLES[("far", 0.2)]) == base._NOISE_SECONDS_MAX
 
+    def test_history_stays_bounded_over_a_2h_peres_run(self):
+        """A 2 h PerES run keeps only the estimates the running average
+        can read, and every average equals the mean over an unbounded
+        log of the same estimates, bit for bit."""
+        from repro.bandwidth.synth import wuhan_bandwidth_model
+
+        est = BandwidthEstimator(wuhan_bandwidth_model(), noise=0.3, seed=5)
+        s = PerESStrategy([weibo_profile(), mail_profile()], est)
+        log = []
+        for i in range(7200):
+            now = float(i)
+            if i % 9 == 0:
+                s.on_arrival(make_packet(app_id="weibo", arrival=now), now)
+            s.decide(now, False)
+            log.append(est.estimate(now))
+            tail = log[-BandwidthEstimator.HISTORY:]
+            assert est.running_average() == sum(tail) / len(tail)
+            assert len(est._history) <= BandwidthEstimator.HISTORY
+        assert est.running_average(7) == sum(log[-7:]) / 7
+        with pytest.raises(ValueError):
+            est.running_average(BandwidthEstimator.HISTORY + 1)
+
     def test_running_average(self):
         est = estimator(rate=1_000.0)
         assert est.running_average() is None

@@ -23,7 +23,13 @@ from repro.radio.power_model import GALAXY_S4_3G
 from repro.sim.fleet.accounting import summarize_chunk
 from repro.sim.fleet.aggregate import FleetChunkSummary
 from repro.sim.fleet.channel import ChannelTable
-from repro.sim.fleet.engine import _cost_aggregate, _theta_step_for, simulate_fleet_chunk
+from repro.sim.fleet.engine import (
+    _cost_aggregate,
+    _theta_crossing_for,
+    _theta_step_for,
+    _transition_slots,
+    simulate_fleet_chunk,
+)
 from repro.sim.fleet.reference import simulate_reference_chunk
 from repro.sim.fleet.registry import vector_strategies
 from repro.sim.fleet.workload import synthesize_fleet
@@ -267,6 +273,80 @@ def test_theta_step_overwrites_its_output():
     out[:] = 1e9
     step(100.0, n, s, n, s, out)
     np.testing.assert_array_equal(out.view(np.uint64), first.view(np.uint64))
+
+
+def _queue_sums(rng, kinds, dls, D, lo):
+    """(n_pre, s_pre, n_post, s_post) of random queues classified at slot
+    ``lo`` the way the engine splits them, plus each column's next knee
+    (the first slot a still-pre packet turns post)."""
+    A = kinds.size
+    sums = np.zeros((4, A, D))
+    knee = np.full(D, lo + 10_000, dtype=np.int64)
+    for a in range(A):
+        for d in range(D):
+            n = int(rng.integers(0, 6))
+            arr = np.sort(rng.uniform(max(0.0, lo - 3.0 * dls[a]), lo, size=n))
+            kp = _transition_slots(arr, float(dls[a]))
+            post = kp <= lo
+            for j in range(n):
+                k = 2 if post[j] else 0
+                sums[k, a, d] += 1.0
+                sums[k + 1, a, d] += arr[j]
+            if (~post).any():
+                knee[d] = min(knee[d], int(kp[~post].min()))
+    return sums, knee
+
+
+def _first_crossing_by_scan(step, lo, hi, theta, sums):
+    """The first slot of ``[lo, hi)`` whose step value reaches ``theta``."""
+    out = np.empty(sums.shape[2], dtype=np.int64)
+    for d in range(out.size):
+        ts = np.arange(lo[d], hi[d], dtype=np.float64)
+        P = np.empty(ts.size)
+        col = sums[:, :, d : d + 1]
+        step(ts, col[0], col[1], col[2], col[3], P)
+        hit = np.flatnonzero(P >= theta[d])
+        out[d] = lo[d] + hit[0] if hit.size else hi[d]
+    return out
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    case=st.sampled_from(["random", "exact", "flat", "knee"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_theta_crossing_matches_brute_force_scan(seed, case):
+    """The rounds loop's Θ-crossing search returns exactly the first slot
+    a slot-by-slot scan of the same float P(t) finds: Θ hit exactly,
+    zero slopes, crossings at a deadline knee, all three cost kinds."""
+    rng = np.random.default_rng(seed)
+    A, D = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+    kinds = rng.integers(0, 3, size=A).astype(np.int64)
+    if case == "flat":
+        kinds = rng.integers(0, 2, size=A).astype(np.int64)
+    dls = rng.uniform(2.0, 120.0, size=A)
+    lo = np.full(D, int(rng.integers(0, 7000)), dtype=np.int64)
+    sums, knee = _queue_sums(rng, kinds, dls, D, int(lo[0]))
+    if case == "flat":
+        # zero slope: mail queues with no post-deadline packets cost 0,
+        # weibo queues with only post-deadline packets a constant 2 each
+        sums[2:, kinds == 0] = 0.0
+        sums[:2, kinds == 1] = 0.0
+    hi = lo + rng.integers(0, 300, size=D)
+    if case == "knee":
+        hi = np.maximum(np.minimum(knee, lo + 2000), lo + 1)
+    step = _theta_step_for(kinds, dls)
+    theta = rng.uniform(-0.5, 6.0, size=D)
+    if case in ("exact", "knee"):
+        # Θ equal to P at a slot of the range (the knee's last slot)
+        at = hi - 1 if case == "knee" else lo + rng.integers(0, 300, size=D)
+        P = np.empty(D)
+        step(at.astype(np.float64), sums[0], sums[1], sums[2], sums[3], P)
+        theta = np.where(rng.random(D) < 0.2, np.nextafter(P, np.inf), P)
+        hi = np.maximum(hi, at + 1)
+    got = _theta_crossing_for(kinds, dls)(lo, hi, theta, sums)
+    want = _first_crossing_by_scan(step, lo, hi, theta, sums)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_fleet_package_lists_live_registry(monkeypatch):

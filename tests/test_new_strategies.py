@@ -75,6 +75,65 @@ def run_sim(strategy, spec, *, dense: bool = False, horizon: float = HORIZON):
     return sim.run()
 
 
+def unbounded_crossing(battery, target, t0):
+    """The charge crossing by a plain window walk on a fresh battery of
+    the same seed and state: the reference for the bounded search."""
+    ref = HarvestingBattery(
+        capacity_j=battery.capacity_j,
+        initial_j=battery.stored_at(0.0),
+        harvest_window_s=battery.harvest_window_s,
+        harvest_rate_max=battery.harvest_rate_max,
+        seed=battery.seed,
+    )
+    if target > ref.capacity_j:
+        return None
+    if ref.stored_at(t0) >= target:
+        return t0
+    w = ref.harvest_window_s
+    need = target - ref.stored_at(0.0)
+    for k in range(int(math.floor(t0 / w)), 2_000):
+        ref.harvested((k + 1) * w)
+        if ref._cum[k + 1] >= need and ref._rates[k] > 0.0:
+            return max(t0, k * w + (need - ref._cum[k]) / ref._rates[k])
+    return None
+
+
+class TestHarvestingBatteryCrossingSearch:
+    def test_zero_harvest_answers_without_walking_windows(self):
+        battery = HarvestingBattery(initial_j=1.0, harvest_rate_max=0.0)
+        assert battery.when_stored_at_least(5.0, 10.0, until=1e9) is None
+        assert len(battery._rates) <= 1
+        assert battery.when_stored_at_least(0.5, 10.0, until=1e9) == 10.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=999),
+        rate=st.sampled_from([0.001, 0.01, 0.05]),
+        target=st.floats(min_value=0.0, max_value=45.0),
+        starts=st.lists(st.floats(min_value=0.0, max_value=3000.0), min_size=1, max_size=6),
+        span=st.floats(min_value=0.0, max_value=3000.0),
+    )
+    def test_bounded_search_matches_an_unbounded_walk(
+        self, seed, rate, target, starts, span
+    ):
+        """Repeated queries between drains (rising ``now``, as the event
+        engine asks) find exactly the unbounded walk's crossing whenever
+        it lies by ``until``, never build windows past ``until``'s, and
+        the windows they rule out are remembered, not rescanned."""
+        battery = HarvestingBattery(initial_j=0.0, harvest_rate_max=rate, seed=seed)
+        w = battery.harvest_window_s
+        for t0 in sorted(starts):
+            until = t0 + span
+            got = battery.when_stored_at_least(target, t0, until=until)
+            want = unbounded_crossing(battery, target, t0)
+            if want is not None and want <= until:
+                assert got == want
+            else:
+                assert got is None or got == want
+            assert len(battery._rates) <= max(t0, until) // w + 2
+            if got is None and battery.stored_at(t0) < target <= battery.capacity_j:
+                assert battery._ruled_out[2] == math.floor(until / w) + 1
+
 class TestHarvestLazyBatteryInvariant:
     @SETTINGS
     @given(

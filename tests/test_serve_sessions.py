@@ -330,3 +330,31 @@ def test_bandwidth_specs_resolve_per_open():
         assert response["ok"] is False
         assert response["error"]["code"] == "bad_request"
     assert len(app.store) == 0
+
+
+def test_batch_channel_tables_keyed_by_resolved_model(monkeypatch):
+    """Batch requests that spell the same channel differently share one
+    channel table: 20 Wuhan specs with distinct padding build it once,
+    and a constant rate keys by its value."""
+    from repro.serve.server import ServeApp, ServeConfig
+    from repro.sim.fleet.channel import ChannelTable
+
+    real = ChannelTable.from_model.__func__
+    built = []
+
+    def counting(cls, model, horizon):
+        built.append(model)
+        return real(cls, model, horizon)
+
+    monkeypatch.setattr(ChannelTable, "from_model", classmethod(counting))
+    app = ServeApp(ServeConfig())
+    request = {"op": "batch", "strategy": "etrain", "devices": 1, "horizon": 60.0}
+    for i in range(20):
+        response = app.handle(dict(request, bandwidth={"kind": "wuhan", "pad": i}))
+        assert response["ok"], response
+    assert len(built) == 1
+    for i in range(3):
+        bandwidth = {"kind": "constant", "rate": 2_000.0, "pad": i}
+        assert app.handle(dict(request, bandwidth=bandwidth))["ok"]
+    assert len(built) == 2
+    assert len(app._table_cache) <= 8
