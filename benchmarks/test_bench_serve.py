@@ -1,0 +1,130 @@
+"""Serving floors — decisions/second through a live ``etrain serve``.
+
+Each replay boots an in-process :class:`~repro.serve.server.EtrainServer`
+on an ephemeral port and drives a synthesized fleet workload through
+:func:`~repro.serve.loadgen.run_loadgen`: real TCP, NDJSON framing and
+admission control, the whole serving stack.  Three properties hold:
+
+* served decisions/s stay at or above :data:`DECISIONS_FLOOR` for
+  eTrain, streamed per event and in bulk ``batch`` frames;
+* streaming keeps a fixed share of the scalar batch reference's rate
+  (:func:`~repro.sim.fleet.reference.simulate_reference_chunk` on the
+  same arrays; replays are bit-identical, so both make the same
+  decisions) — the ratio is the wire tax;
+* bulk replay beats per-event streaming of the same population.
+
+Each side keeps its best of ``repeats``; a fresh server per replay
+starts from an empty session store.  The ratio floors are 0.75x the
+ratios recorded when serving landed (0.32x etrain, 0.60x peres, 2.37x
+bulk).  Server boot, workload synthesis and frame building are outside
+the timed window.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import time
+
+import pytest
+
+from benchmarks.conftest import run_once
+from repro.bandwidth.synth import wuhan_bandwidth_model
+from repro.serve.loadgen import LoadgenConfig, run_loadgen
+from repro.serve.server import EtrainServer, ServeConfig
+from repro.sim.fleet.reference import simulate_reference_chunk
+from repro.sim.fleet.workload import synthesize_fleet
+
+#: Served decisions/s every gated eTrain case must reach.
+DECISIONS_FLOOR = 10_000.0
+
+
+def _replay(**config) -> dict:
+    """One loadgen replay against a fresh in-process server."""
+
+    async def _one() -> dict:
+        server = EtrainServer(ServeConfig())
+        await server.start()
+        try:
+            return await run_loadgen(LoadgenConfig(port=server.port, **config))
+        finally:
+            await server.stop()
+
+    return asyncio.run(_one())
+
+
+def _best_stream(repeats: int, **config) -> dict:
+    replays = [_replay(**config) for _ in range(repeats)]
+    return max(replays, key=lambda r: r["decisions_per_s"])
+
+
+def _served_vs_batch(strategy: str, devices: int, repeats: int):
+    """(served decisions/s, batch reference decisions/s) at 450 s, seed 7."""
+    served = _best_stream(repeats, strategy=strategy, devices=devices)
+    workload = synthesize_fleet(devices, 450.0, seed=7)
+    bw = wuhan_bandwidth_model()
+    batch_s = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        simulate_reference_chunk(workload, bw, strategy=strategy)
+        batch_s = min(batch_s, time.perf_counter() - t0)
+    return served["decisions_per_s"], served["decisions"] / batch_s
+
+
+def _bulk_vs_stream(repeats: int, **config):
+    """(bulk decisions/s, streamed decisions/s) for one population.
+
+    The bulk rate is the streamed decision count over the best bulk
+    wall time: the same decisions, delivered in ``batch`` frames.
+    """
+    stream = _best_stream(repeats, **config)
+    bulk_s = min(_replay(bulk=True, **config)["wall_s"] for _ in range(repeats))
+    return stream["decisions"] / bulk_s, stream["decisions_per_s"]
+
+
+@pytest.mark.smoke
+@pytest.mark.serve
+@pytest.mark.parametrize(
+    "strategy, devices, rate_floor, ratio_floor",
+    [("etrain", 8, DECISIONS_FLOOR, 0.24), ("peres", 4, 0.0, 0.45)],
+    ids=["etrain", "peres"],
+)
+def test_served_rate_vs_batch(
+    benchmark, report, strategy, devices, rate_floor, ratio_floor
+):
+    served, batch = run_once(benchmark, _served_vs_batch, strategy, devices, 2)
+    report(
+        f"Serve [{strategy}, {devices} devices x 450 s]\n"
+        f"  served {served:9.0f} decisions/s (floor {rate_floor:.0f})\n"
+        f"  batch  {batch:9.0f} decisions/s\n"
+        f"  served/batch {served / batch:.3f}x (floor {ratio_floor}x)"
+    )
+    assert served >= rate_floor
+    assert served / batch >= ratio_floor
+
+
+@pytest.mark.smoke
+@pytest.mark.serve
+def test_bulk_beats_streaming(benchmark, report):
+    bulk, stream = run_once(benchmark, _bulk_vs_stream, 2, devices=32)
+    report(
+        "Serve bulk [etrain, 32 devices x 450 s]\n"
+        f"  bulk   {bulk:9.0f} decisions/s (floor {DECISIONS_FLOOR:.0f})\n"
+        f"  stream {stream:9.0f} decisions/s\n"
+        f"  bulk/stream {bulk / stream:.2f}x (floor 1.78x)"
+    )
+    assert bulk >= DECISIONS_FLOOR
+    assert bulk / stream >= 1.78
+
+
+def test_etrain_serve_2h_rate(benchmark, report):
+    served = run_once(
+        benchmark, _best_stream, 3, devices=16, horizon=7200.0, connections=4
+    )["decisions_per_s"]
+    report(f"Serve [etrain, 16 devices x 7200 s] {served:.0f} decisions/s")
+    assert served >= DECISIONS_FLOOR
+
+
+def test_etrain_bulk_2h_rate(benchmark, report):
+    bulk, _ = run_once(benchmark, _bulk_vs_stream, 3, devices=16, horizon=7200.0)
+    report(f"Serve bulk [etrain, 16 devices x 7200 s] {bulk:.0f} decisions/s")
+    assert bulk >= DECISIONS_FLOOR

@@ -27,7 +27,8 @@ then updates: if the recent per-packet cost runs above Ω, V shrinks
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from collections import deque
+from typing import Deque, Dict, List, Mapping, Sequence
 
 from repro.baselines.base import BandwidthEstimator, TransmissionStrategy
 from repro.core.cost_functions import DelayCostFunction
@@ -35,6 +36,10 @@ from repro.core.packet import Packet
 from repro.core.profiles import CargoAppProfile
 
 __all__ = ["PerESStrategy", "peres_fleet_kernel"]
+
+#: Window of the dynamic-V adaptation: ``_adapt_v`` averages the costs
+#: of the last this-many released packets, scalar and kernel alike.
+_V_WINDOW = 50
 
 
 class PerESStrategy(TransmissionStrategy):
@@ -67,7 +72,8 @@ class PerESStrategy(TransmissionStrategy):
         self.slot = slot
         self.name = f"PerES(omega={omega:g})"
         self._queue: List[Packet] = []
-        self._released_costs: List[float] = []
+        #: Costs of the last :data:`_V_WINDOW` released packets.
+        self._released_costs: Deque[float] = deque(maxlen=_V_WINDOW)
 
     def on_arrival(self, packet: Packet, now: float) -> None:
         if packet.app_id not in self.cost_functions:
@@ -104,8 +110,7 @@ class PerESStrategy(TransmissionStrategy):
         """Drive V so the running per-packet cost converges to Ω."""
         if not self._released_costs:
             return
-        recent = self._released_costs[-50:]
-        average = sum(recent) / len(recent)
+        average = sum(self._released_costs) / len(self._released_costs)
         if average > self.omega:
             self.v *= 1.0 - self.ETA  # too costly: favour performance
         else:
@@ -138,9 +143,6 @@ class PerESStrategy(TransmissionStrategy):
 # ---------------------------------------------------------------------------
 # vectorized fleet kernel (registered in repro.sim.fleet.registry)
 # ---------------------------------------------------------------------------
-
-#: Window of the dynamic-V adaptation (``_released_costs[-50:]``).
-_V_WINDOW = 50
 
 
 def peres_fleet_kernel(workload, table, params: Dict, power_model, *, profiler=None):

@@ -14,10 +14,6 @@ Examples::
     etrain sweep --strategies immediate,etrain --seeds 5 --workers 4
     etrain sweep --param theta=0.5,1,2 --cache-dir .sweep-cache
     etrain fig8 --workers 4 --cache-dir .sweep-cache
-    etrain bench                            # engine microbenchmarks
-    etrain bench --mode smoke --check BENCH_engine.json
-    etrain bench --suite fleet              # fleet throughput -> BENCH_fleet.json
-    etrain bench --suite serve              # serving throughput -> BENCH_serve.json
     etrain serve --port 8075                # online scheduling daemon
     etrain loadgen --port 8075 --devices 16 # replay a fleet workload at it
     etrain loadgen --smoke                  # boot + replay in one process (CI)
@@ -26,7 +22,6 @@ Examples::
     etrain sweep --seeds 5 --workers-remote 2  # 2 spawned TCP lease workers
     etrain coordinate fleet --devices 8192 --bind 0.0.0.0:8076
     etrain worker --connect host:8076       # attach from any machine
-    etrain bench --suite dist               # 2-vs-1 worker scaling gate
     etrain serve --port 8075 --metrics-port 8080  # + HTTP metrics snapshot
     etrain record --strategy etrain --trace-out run.jsonl
     etrain trace-replay run.jsonl           # recompute metrics from events
@@ -47,7 +42,6 @@ __all__ = [
     "build_parser",
     "run_trace_command",
     "run_sweep_command",
-    "run_bench_command",
     "run_fleet_command",
     "run_serve_command",
     "run_loadgen_command",
@@ -795,127 +789,6 @@ def run_trace_replay_command(argv: List[str]) -> int:
     return 0
 
 
-def build_bench_parser() -> argparse.ArgumentParser:
-    """Parser for the ``etrain bench`` engine microbenchmarks."""
-    parser = argparse.ArgumentParser(
-        prog="etrain bench",
-        description=(
-            "Benchmark the dense reference loop against the event-horizon "
-            "engine on fixed scenarios, optionally gating against a "
-            "committed baseline (see docs/performance.md)."
-        ),
-    )
-    parser.add_argument(
-        "--suite",
-        choices=("engine", "fleet", "serve", "dist"),
-        default="engine",
-        help="'engine' times dense vs event loops; 'fleet' times the "
-        "vectorized fleet path against the per-device scalar loop; "
-        "'serve' times loadgen replay through a live server against "
-        "the batch scalar reference; 'dist' times a 2-worker "
-        "coordinator run against 1 worker (linear-scaling gate)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="where to write the benchmark JSON (default: "
-        "BENCH_engine.json / BENCH_fleet.json / BENCH_serve.json by suite)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("full", "smoke"),
-        default="full",
-        help="'smoke' runs the CI subset with fewer repeats",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="timing repeats per case (best-of-N; default 15 full / 10 smoke)",
-    )
-    parser.add_argument(
-        "--phases",
-        action="store_true",
-        help="print each case's per-phase wall/CPU breakdown",
-    )
-    parser.add_argument(
-        "--check",
-        default=None,
-        metavar="BASELINE",
-        help="compare speedups against this baseline JSON; non-zero exit "
-        "on regression",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional speedup drop vs the baseline (default 0.25)",
-    )
-    return parser
-
-
-def run_bench_command(argv: List[str]) -> int:
-    """Execute ``etrain bench ...``; returns an exit code."""
-    from repro.sim.perf import (
-        check_results,
-        load_baseline,
-        run_benchmarks,
-        write_results,
-    )
-
-    args = build_bench_parser().parse_args(argv)
-    if args.suite == "fleet":
-        from repro.sim.fleet.perf import check_floor, run_fleet_benchmarks
-
-        results = run_fleet_benchmarks(
-            mode=args.mode, repeats=args.repeats, progress=print
-        )
-    elif args.suite == "serve":
-        from repro.serve.bench import check_floor, run_serve_benchmarks
-
-        results = run_serve_benchmarks(
-            mode=args.mode, repeats=args.repeats, progress=print
-        )
-    elif args.suite == "dist":
-        from repro.sim.dist.bench import check_floor, run_dist_benchmarks
-
-        results = run_dist_benchmarks(
-            mode=args.mode, repeats=args.repeats, progress=print
-        )
-    else:
-        results = run_benchmarks(
-            mode=args.mode, repeats=args.repeats, progress=print
-        )
-    out = args.out or f"BENCH_{args.suite}.json"
-    write_results(out, results)
-    print(f"wrote {len(results['cases'])} cases to {out}")
-    if args.phases:
-        from repro.obs.profiling import PhaseProfiler
-
-        for row in results["cases"]:
-            if not row.get("phases"):
-                continue
-            print(f"{row['name']} phases:")
-            print(PhaseProfiler.from_dict(row["phases"]).format_lines("  "))
-
-    failures: List[str] = []
-    if args.suite in ("fleet", "serve", "dist"):
-        failures.extend(check_floor(results))
-    if args.check is not None:
-        failures.extend(
-            check_results(
-                results, load_baseline(args.check), tolerance=args.tolerance
-            )
-        )
-    if failures:
-        for line in failures:
-            print(f"REGRESSION: {line}", file=sys.stderr)
-        return 1
-    if args.check is not None:
-        print(f"all cases within {args.tolerance:.0%} of {args.check}")
-    return 0
-
-
 def build_serve_parser() -> argparse.ArgumentParser:
     """Parser for the ``etrain serve`` daemon."""
     parser = argparse.ArgumentParser(
@@ -1385,9 +1258,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if argv and argv[0] == "sweep":
         return run_sweep_command(argv[1:])
-
-    if argv and argv[0] == "bench":
-        return run_bench_command(argv[1:])
 
     if argv and argv[0] == "record":
         return run_record_command(argv[1:])

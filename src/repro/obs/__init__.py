@@ -14,7 +14,7 @@
   gauges and histograms whose merge is associative and commutative, so
   worker metrics combine like fleet chunk summaries;
 * :mod:`repro.obs.profiling` — per-phase wall/CPU timers surfaced in
-  ``etrain bench`` output and the BENCH_*.json documents;
+  ``etrain fleet`` output and its ``--out`` document;
 * :mod:`repro.obs.replay` — recomputes a run's summary metrics (total
   energy, piggyback ratio, delay cost) from its event trace alone,
   making traces a correctness artifact rather than just a log.

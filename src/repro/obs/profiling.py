@@ -1,12 +1,10 @@
-"""Per-phase wall/CPU timers for the bench harnesses.
+"""Per-phase wall/CPU timers for pipeline runs.
 
-:class:`PhaseProfiler` wraps named phases of a benchmark or pipeline run
-(workload synthesis, channel integration, decision loop, aggregation)
+:class:`PhaseProfiler` wraps named phases of a pipeline run (channel
+publish, simulation, aggregation, and the fleet kernels' own sub-phases)
 and accumulates wall-clock and process-CPU time per phase.  The result
-is a plain dict that rides inside ``etrain bench`` rows and the
-``BENCH_*.json`` documents — the baseline comparator
-(:func:`repro.sim.perf.check_results`) only reads ``name``/``speedup``,
-so adding a ``"phases"`` field is additive and never trips a gate.
+is a plain dict: ``etrain fleet`` prints it and writes it into its
+``--out`` document.
 
 Re-entering a phase name accumulates (useful when a phase runs once per
 repeat); ``calls`` counts the entries so a mean can be derived.
@@ -59,45 +57,6 @@ class PhaseProfiler:
         slot["cpu_s"] += cpu_s
         slot["calls"] += calls
 
-    def wall(self, name: str) -> float:
-        return self._phases.get(name, {}).get("wall_s", 0.0)
-
     def as_dict(self) -> Dict[str, Dict[str, float]]:
         """Phase table ordered by insertion (pipeline order)."""
         return {name: dict(v) for name, v in self._phases.items()}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Dict[str, float]]) -> "PhaseProfiler":
-        """Rebuild a profiler from :meth:`as_dict` output (e.g. a bench row)."""
-        profiler = cls()
-        for name, v in data.items():
-            profiler._phases[name] = {
-                "wall_s": float(v.get("wall_s", 0.0)),
-                "cpu_s": float(v.get("cpu_s", 0.0)),
-                "calls": int(v.get("calls", 0)),
-            }
-        return profiler
-
-    def merge(self, other: "PhaseProfiler") -> "PhaseProfiler":
-        """Accumulate another profiler's phases into this one."""
-        for name, v in other._phases.items():
-            slot = self._phases.setdefault(
-                name, {"wall_s": 0.0, "cpu_s": 0.0, "calls": 0}
-            )
-            slot["wall_s"] += v["wall_s"]
-            slot["cpu_s"] += v["cpu_s"]
-            slot["calls"] += v["calls"]
-        return self
-
-    def format_lines(self, indent: str = "  ") -> str:
-        """Human-readable phase table for ``etrain bench`` output."""
-        if not self._phases:
-            return ""
-        width = max(len(n) for n in self._phases)
-        lines = []
-        for name, v in self._phases.items():
-            lines.append(
-                f"{indent}{name:<{width}s}  wall {v['wall_s'] * 1e3:9.2f} ms  "
-                f"cpu {v['cpu_s'] * 1e3:9.2f} ms  x{v['calls']}"
-            )
-        return "\n".join(lines)

@@ -17,7 +17,6 @@ sessions   per-device session machine + O(1) session store with
 batcher    bounded admission inbox (watermark shedding) + micro-batching
 server     asyncio NDJSON TCP server (``etrain serve``)
 loadgen    workload-replay load generator (``etrain loadgen``)
-bench      decisions/sec benchmark suite (``etrain bench --suite serve``)
 """
 
 from repro.serve.batcher import Inbox

@@ -251,6 +251,19 @@ class TestPerES:
         s.on_arrival(make_packet(app_id="weibo", arrival=0.0), 0.0)
         assert s.instantaneous_cost(15.0) == pytest.approx(0.5)
 
+    def test_released_cost_history_stays_bounded_over_a_2h_run(self):
+        """``_adapt_v`` reads only the last ``_V_WINDOW`` costs, so a 2 h
+        run (hundreds of releases) keeps no more than that."""
+        from repro.baselines.peres import _V_WINDOW
+        from repro.sim.parallel.specs import ScenarioSpec, StrategySpec
+        from repro.sim.runner import run_strategy
+
+        scenario = ScenarioSpec(seed=3).build()
+        s = StrategySpec.make("peres").build(scenario)
+        result = run_strategy(s, scenario)
+        assert len(result.packets) > _V_WINDOW
+        assert len(s._released_costs) == _V_WINDOW == 50
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PerESStrategy(self.profiles(), estimator(), omega=-1.0)
