@@ -19,7 +19,6 @@ Examples::
     etrain loadgen --smoke                  # boot + replay in one process (CI)
     etrain fleet --devices 100000 --workers 4
     etrain fleet --devices 8192 --strategy immediate --out fleet.json
-    etrain sweep --seeds 5 --workers-remote 2  # 2 spawned TCP lease workers
     etrain coordinate fleet --devices 8192 --bind 0.0.0.0:8076
     etrain worker --connect host:8076       # attach from any machine
     etrain serve --port 8075 --metrics-port 8080  # + HTTP metrics snapshot
@@ -31,6 +30,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 from typing import Any, Dict, List, Optional
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="fan supported experiments across N worker processes",
+        help="fan supported experiments across N forked lease workers",
     )
     parser.add_argument(
         "--cache-dir",
@@ -235,7 +235,10 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes (default: serial in-process)",
+        help=(
+            "forked local lease workers (default: serial in-process); "
+            "with --bind, local workers joining the coordinator"
+        ),
     )
     parser.add_argument(
         "--cache-dir", default=None, help="on-disk result cache directory"
@@ -264,31 +267,21 @@ def build_sweep_parser() -> argparse.ArgumentParser:
 
 
 def _add_dist_args(parser: argparse.ArgumentParser) -> None:
-    """Distributed-placement flags shared by ``sweep`` and ``fleet``.
+    """Coordinator flags shared by ``sweep`` and ``fleet``.
 
-    Either flag routes the grid through the TCP chunk coordinator
-    (:class:`repro.sim.dist.DistExecutor`); results are byte-identical
-    to local execution (see docs/parallelism.md).
+    ``--bind`` routes the grid through a listening coordinator
+    (:class:`repro.sim.dist.DistExecutor`) that ``--workers N`` local
+    workers join; ``--min-workers`` and ``--lease-timeout`` tune it and
+    need ``--bind``.  Results are byte-identical to serial execution
+    (see docs/parallelism.md).
     """
-    parser.add_argument(
-        "--workers-remote",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "run the grid through the TCP chunk coordinator with N "
-            "spawned localhost lease workers (byte-identical to "
-            "--workers N; composes with --bind for extra external workers)"
-        ),
-    )
     parser.add_argument(
         "--bind",
         default=None,
         metavar="HOST:PORT",
         help=(
             "coordinator listen address for external `etrain worker "
-            "--connect` processes (port 0 = ephemeral, printed); implies "
-            "distributed mode"
+            "--connect` processes (port 0 = ephemeral, printed)"
         ),
     )
     parser.add_argument(
@@ -297,8 +290,8 @@ def _add_dist_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "hold all leases until N workers have connected "
-            "(default: the --workers-remote count)"
+            "with --bind: hold all leases until N workers have connected "
+            "(default: the --workers count)"
         ),
     )
     parser.add_argument(
@@ -307,44 +300,39 @@ def _add_dist_args(parser: argparse.ArgumentParser) -> None:
         default=30.0,
         metavar="SECONDS",
         help=(
-            "revoke and requeue a leased job after this long without a "
-            "worker heartbeat (default 30)"
+            "with --bind: revoke and requeue a leased job after this long "
+            "without a worker heartbeat (default 30)"
         ),
     )
 
 
-def _dist_requested(args) -> bool:
-    return (
-        getattr(args, "workers_remote", None) is not None
-        or getattr(args, "bind", None) is not None
-    )
-
-
-def _make_dist_executor(args, **common):
-    """Build the DistExecutor the dist flags describe (SystemExit 2 on bad)."""
+def _make_executor(args, **common):
+    """The executor the placement flags describe (SystemExit 2 on bad)."""
     from repro.sim.dist import DistConfig, DistExecutor
+    from repro.sim.parallel import ExperimentExecutor
 
-    host, port, announce = "127.0.0.1", 0, None
-    if args.bind is not None:
-        host, sep, port_text = args.bind.rpartition(":")
-        if not sep or not host or not port_text.isdigit():
-            print(f"--bind wants HOST:PORT, got {args.bind!r}", file=sys.stderr)
+    spawn = args.workers or 0
+    if args.workers is not None and spawn < 1:
+        print(f"--workers must be >= 1, got {spawn}", file=sys.stderr)
+        raise SystemExit(2)
+    if args.bind is None:
+        # Both tune a listening coordinator.  Without one no external
+        # worker can join, so a barrier above --workers never opens.
+        if args.min_workers is not None or args.lease_timeout != 30.0:
+            print("--min-workers/--lease-timeout requires --bind", file=sys.stderr)
             raise SystemExit(2)
-        port = int(port_text)
-        announce = print
-    spawn = args.workers_remote or 0
-    if spawn < 0:
-        print(f"--workers-remote must be >= 0, got {spawn}", file=sys.stderr)
+        return ExperimentExecutor(workers=args.workers, **common)
+    host, sep, port_text = args.bind.rpartition(":")
+    if not sep or not host or not port_text.isdigit():
+        print(f"--bind wants HOST:PORT, got {args.bind!r}", file=sys.stderr)
         raise SystemExit(2)
     config = DistConfig(
         host=host,
-        port=port,
+        port=int(port_text),
         min_workers=args.min_workers if args.min_workers is not None else spawn,
         lease_timeout=args.lease_timeout,
     )
-    return DistExecutor(
-        spawn_workers=spawn, config=config, announce=announce, **common
-    )
+    return DistExecutor(spawn_workers=spawn, config=config, announce=print, **common)
 
 
 def _add_fault_tolerance_args(parser: argparse.ArgumentParser) -> None:
@@ -370,8 +358,8 @@ def _add_fault_tolerance_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help=(
-            "kill and retry any pool job running longer than this "
-            "(default: no timeout)"
+            "retry any job leased longer than this, killing its local "
+            "worker (default: no timeout)"
         ),
     )
     parser.add_argument(
@@ -499,7 +487,6 @@ def run_sweep_command(argv: List[str]) -> int:
     from repro.analysis.multiseed import summarize
     from repro.sim.parallel import (
         STRATEGY_BUILDERS,
-        ExperimentExecutor,
         JobSpec,
         ScenarioSpec,
         StrategySpec,
@@ -559,10 +546,7 @@ def run_sweep_command(argv: List[str]) -> int:
         faults=_build_fault_plan(args),
         journal=journal,
     )
-    if _dist_requested(args):
-        executor = _make_dist_executor(args, **common)
-    else:
-        executor = ExperimentExecutor(workers=args.workers, **common)
+    executor = _make_executor(args, **common)
     try:
         results = executor.run(jobs)
     finally:
@@ -1020,7 +1004,10 @@ def build_fleet_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="fan chunks across N worker processes (default: in-process)",
+        help=(
+            "fan chunks across N forked lease workers (default: "
+            "in-process); with --bind, local workers joining the coordinator"
+        ),
     )
     parser.add_argument(
         "--strategy",
@@ -1119,22 +1106,15 @@ def run_fleet_command(argv: List[str]) -> int:
     journal, code = _attach_journal(args, spec.content_hash(), spec.n_chunks)
     if code is not None:
         return code
-    make_executor = None
-    if _dist_requested(args):
-
-        def make_executor(**common):
-            return _make_dist_executor(args, **common)
-
     try:
         result = run_fleet(
             spec,
-            workers=args.workers,
             cache_dir=args.cache_dir,
             progress=None if args.quiet else print,
             retry=_build_retry_policy(args),
             faults=_build_fault_plan(args),
             journal=journal,
-            make_executor=make_executor,
+            make_executor=functools.partial(_make_executor, args),
         )
     finally:
         if journal is not None:
@@ -1211,8 +1191,8 @@ def run_coordinate_command(argv: List[str]) -> int:
         "Run a sweep/fleet grid as a TCP chunk coordinator for external\n"
         "`etrain worker --connect HOST:PORT` processes.  Adds --bind\n"
         "127.0.0.1:0 (ephemeral, printed) unless --bind is given; combine\n"
-        "with --workers-remote N for N spawned local workers and\n"
-        "--min-workers N to hold leases until N workers attach.\n"
+        "with --workers N for N forked local workers and --min-workers N\n"
+        "to hold leases until N workers attach.\n"
         "See docs/parallelism.md."
     )
     if argv and argv[0] in ("-h", "--help"):

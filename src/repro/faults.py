@@ -12,8 +12,8 @@ Injection sites
 ---------------
 * **Worker crash / hang** — :class:`ExperimentExecutor
   <repro.sim.parallel.executor.ExperimentExecutor>` forwards its
-  :class:`FaultPlan` inside each pool payload, and the worker entry
-  point calls :meth:`FaultPlan.inject` before running the job.  A crash
+  :class:`FaultPlan` to its lease workers in the hello handshake, and
+  the worker entry point calls :meth:`FaultPlan.inject` before running the job.  A crash
   is ``os._exit`` (the worker dies without cleanup, exactly like an OOM
   kill or SIGKILL); a hang is a sleep past the executor's per-job
   timeout.  Decisions are pure functions of ``(seed, job key,
@@ -28,10 +28,10 @@ Injection sites
   (see :func:`repro.sim.fleet.channel.cleanup_stale_segments`) sweeps
   it.
 
-Plans cross process boundaries two ways: pickled inside executor
-payloads (the normal path), or serialised into the ``ETRAIN_FAULTS``
+Plans cross process boundaries two ways: as a dict in the lease
+coordinator's hello response (the normal path), or serialised into the ``ETRAIN_FAULTS``
 environment variable (``FaultPlan.to_env`` / ``from_env``) so an entire
-CLI invocation — including its pool workers — can be faulted from the
+CLI invocation — including its lease workers — can be faulted from the
 outside, which is how the CI fault lane drives ``etrain sweep``.
 """
 
@@ -118,7 +118,7 @@ class FaultPlan:
     def inject(self, key: str, attempt: int = 1) -> None:
         """Execute this plan's decision for (job, attempt), if any.
 
-        Called inside pool workers only — a crash takes the whole worker
+        Called inside lease workers only — a crash takes the whole worker
         process down via ``os._exit`` (bypassing atexit handlers and
         ``finally`` blocks, like a kill -9 would), and a hang sleeps
         past any reasonable per-job timeout.

@@ -88,7 +88,7 @@ class EventType:
     SERIAL_FALLBACK = "serial_fallback"
     # Distributed-coordinator event: a leased job's deadline passed
     # without a heartbeat (silent host death) or past its hard budget
-    # (hung worker); the job is requeued or rescued like a pool loss.
+    # (hung worker); the job is requeued or rescued like a lost connection.
     LEASE_EXPIRED = "lease_expired"
 
 

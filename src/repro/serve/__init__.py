@@ -18,24 +18,3 @@ batcher    bounded admission inbox (watermark shedding) + micro-batching
 server     asyncio NDJSON TCP server (``etrain serve``)
 loadgen    workload-replay load generator (``etrain loadgen``)
 """
-
-from repro.serve.batcher import Inbox
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    encode_frame,
-)
-from repro.serve.server import EtrainServer, ServeApp, ServeConfig
-from repro.serve.sessions import DeviceSession, SessionStore
-
-__all__ = [
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "encode_frame",
-    "Inbox",
-    "DeviceSession",
-    "SessionStore",
-    "ServeApp",
-    "ServeConfig",
-    "EtrainServer",
-]

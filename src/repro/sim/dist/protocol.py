@@ -6,8 +6,8 @@ separators — see :mod:`repro.serve.protocol`, whose ``encode_frame`` and
 ``ProtocolError`` this module reuses).  Every worker request receives
 exactly one response frame; unsolicited frames never occur, so a worker
 can drive the connection with a blocking request/response loop (the
-heartbeat thread shares the socket under a lock and its acks are
-filtered out by op).
+connection's heartbeat thread shares the socket under a lock and its
+acks are filtered out by op).
 
 Requests (worker → coordinator)
 -------------------------------
@@ -19,8 +19,11 @@ Requests (worker → coordinator)
 ``{"op": "lease", "worker": W}``
     Pull one job.  The response is either a lease (``job`` wire dict,
     ``index``, ``key``, ``attempt``, ``deadline_s``), ``idle`` with a
-    ``retry_after`` hint (queue momentarily empty or the start barrier
-    still closed), or ``done`` (run complete — the worker exits 0).
+    ``retry_after`` hint, or ``done`` (run complete — the worker exits
+    0).  While the queue is empty or the start barrier still closed the
+    coordinator holds the request until a job is requeued or the run
+    ends, and answers ``idle`` (``retry_after`` 0) only after a bounded
+    wait shorter than the worker's socket timeout.
 ``{"op": "heartbeat", "worker": W, "index": I, "key": K}``
     Keep a lease alive.  Extends the *heartbeat* deadline only — the
     hard per-job deadline from ``RetryPolicy.job_timeout`` is never

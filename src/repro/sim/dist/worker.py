@@ -6,18 +6,19 @@ the versioned hello handshake, then drives a blocking lease loop.  Each
 leased job is rebuilt from its canonical wire dict, checked against the
 leased content key (a coordinator/worker version skew fails loudly, not
 silently under a stale key), and executed through the *same*
-``_execute_indexed`` entry point pool workers use — identical metrics,
+``_execute`` entry point in-process runs use — identical metrics,
 identical fault injection (the coordinator ships its
 :class:`~repro.faults.FaultPlan` in the hello response, so an injected
 crash kills this whole process mid-chunk, which is exactly the host
 failure the lease machinery is built for).
 
-While a job runs, a daemon heartbeat thread shares the socket under a
-write lock and beats at the coordinator-advertised cadence; the main
-thread is the only reader and discards heartbeat acks while waiting for
-lease/result responses.  Connection loss triggers bounded-backoff
-reconnection (work keeps running; the finished result is uploaded on
-the new connection and deduplicated coordinator-side by content hash).
+Each connection keeps one daemon heartbeat thread that shares the
+socket under a write lock and, while a job runs, beats its lease at the
+coordinator-advertised cadence; the main thread is the only reader and
+discards heartbeat acks while waiting for lease/result responses.
+Connection loss triggers bounded-backoff reconnection (work keeps
+running; the finished result is uploaded on the new connection and
+deduplicated coordinator-side by content hash).
 
 Exit codes: 0 — run complete (``done`` lease); 1 — coordinator
 unreachable/lost for good; 2 — protocol rejection (version skew).
@@ -40,7 +41,7 @@ from repro.sim.dist.protocol import (
     job_from_wire,
     result_hash,
 )
-from repro.sim.parallel.executor import _execute_indexed
+from repro.sim.parallel.executor import _execute
 from repro.workload.trace_io import NdjsonDecoder
 
 __all__ = ["run_worker", "main"]
@@ -49,48 +50,43 @@ __all__ = ["run_worker", "main"]
 #: successful connection (covers both startup and mid-run loss).
 CONNECT_PATIENCE_S = 30.0
 
+#: A coordinator silent this long counts as lost (the coordinator
+#: answers a parked lease request well within it).
+SOCKET_TIMEOUT_S = 10.0
+
 
 class _CoordinatorLost(Exception):
     """The TCP connection died; reconnect and resume the lease loop."""
 
 
-class _Heartbeat:
-    """Daemon thread beating one lease while its job computes."""
-
-    def __init__(self, sock: socket.socket, lock: threading.Lock,
-                 frame: Dict, period: float) -> None:
-        self._sock = sock
-        self._lock = lock
-        self._payload = encode_frame(frame)
-        self._period = period
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._period):
-            try:
-                with self._lock:
-                    self._sock.sendall(self._payload)
-            except OSError:
-                return  # main thread handles the dead socket
-
-
 class _Connection:
-    """Blocking request/response channel with heartbeat-ack filtering."""
+    """Blocking request/response channel with heartbeat-ack filtering.
+
+    Its heartbeat thread sends ``beat`` (the encoded heartbeat of the
+    lease in hand, None between jobs) every ``period`` seconds.
+    """
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.lock = threading.Lock()
+        self.beat: Optional[bytes] = None
+        self._closed = threading.Event()
         self._decoder = NdjsonDecoder()
         self._ready: list = []
+
+    def start_heartbeat(self, period: float) -> None:
+        threading.Thread(target=self._heartbeat, args=(period,), daemon=True).start()
+
+    def _heartbeat(self, period: float) -> None:
+        while not self._closed.wait(period):
+            payload = self.beat
+            if payload is None:
+                continue
+            try:
+                with self.lock:
+                    self.sock.sendall(payload)
+            except OSError:
+                return  # main thread handles the dead socket
 
     def request(self, frame: Dict) -> Dict:
         """Send one frame; return the next non-heartbeat response."""
@@ -120,6 +116,7 @@ class _Connection:
             self._ready.extend(self._decoder.feed(data))
 
     def close(self) -> None:
+        self._closed.set()
         try:
             self.sock.close()
         except OSError:  # pragma: no cover - racing close
@@ -132,7 +129,8 @@ def _connect(host: str, port: int, patience: float) -> Optional[_Connection]:
     delay = 0.05
     while True:
         try:
-            return _Connection(socket.create_connection((host, port), timeout=10.0))
+            sock = socket.create_connection((host, port), timeout=SOCKET_TIMEOUT_S)
+            return _Connection(sock)
         except OSError:
             if time.monotonic() + delay > deadline:
                 return None
@@ -141,7 +139,7 @@ def _connect(host: str, port: int, patience: float) -> Optional[_Connection]:
 
 
 def _run_lease(conn: _Connection, lease: Dict, faults: Optional[FaultPlan],
-               heartbeat_s: float, worker: str) -> Dict:
+               worker: str) -> Dict:
     """Execute one leased job and build its result (or fail) frame."""
     index, key, attempt = lease["index"], lease["key"], lease["attempt"]
     try:
@@ -154,19 +152,20 @@ def _run_lease(conn: _Connection, lease: Dict, faults: Optional[FaultPlan],
     except (KeyError, ValueError, TypeError) as exc:
         return {"op": "fail", "worker": worker, "index": index, "key": key,
                 "attempt": attempt, "error": str(exc)}
-    hb_frame = {"op": "heartbeat", "worker": worker, "index": index, "key": key}
+    conn.beat = encode_frame(
+        {"op": "heartbeat", "worker": worker, "index": index, "key": key}
+    )
     try:
-        with _Heartbeat(conn.sock, conn.lock, hb_frame, heartbeat_s):
-            # Same entry point as pool workers: injects faults (a crash
-            # exits this process), runs under a metrics scope, times the
-            # job.  Heartbeats keep beating through an injected hang —
-            # only the coordinator's hard deadline bounds that.
-            index, summary, elapsed, pid, metrics = _execute_indexed(
-                (index, spec, faults, attempt)
-            )
+        # Same entry point as in-process runs: injects faults (a crash
+        # exits this process), runs under a metrics scope, times the
+        # job.  Heartbeats keep beating through an injected hang —
+        # only the coordinator's hard deadline bounds that.
+        summary, elapsed, pid, metrics = _execute(spec, faults, attempt)
     except Exception as exc:  # simulation failure: NACK, don't die
         return {"op": "fail", "worker": worker, "index": index, "key": key,
                 "attempt": attempt, "error": f"{type(exc).__name__}: {exc}"}
+    finally:
+        conn.beat = None
     return {
         "op": "result",
         "worker": worker,
@@ -206,7 +205,7 @@ def run_worker(host: str, port: int, *, name: Optional[str] = None,
                 return 2
             faults = (FaultPlan.from_dict(hello["faults"])
                       if hello.get("faults") else None)
-            heartbeat_s = float(hello.get("heartbeat_s", 10.0))
+            conn.start_heartbeat(float(hello.get("heartbeat_s", 10.0)))
             while True:
                 if outbox is not None:
                     conn.request(outbox)  # stale duplicates are dropped
@@ -222,7 +221,7 @@ def run_worker(host: str, port: int, *, name: Optional[str] = None,
                 if resp.get("idle"):
                     time.sleep(float(resp.get("retry_after", 0.05)))
                     continue
-                outbox = _run_lease(conn, resp, faults, heartbeat_s, worker)
+                outbox = _run_lease(conn, resp, faults, worker)
                 conn.request(outbox)
                 outbox = None
         except _CoordinatorLost:

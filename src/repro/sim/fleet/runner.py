@@ -1,10 +1,11 @@
 """Fleet orchestration: chunks through the experiment executor.
 
-``run_fleet`` is the one call the CLI and examples use: it publishes the
-channel table to shared memory once, fans the fleet's chunks across the
+``run_fleet`` is the one call the CLI and examples use: it fans the
+fleet's chunks across the
 :class:`~repro.sim.parallel.executor.ExperimentExecutor` (serial
-in-process or a worker pool — same code path either way), merges the
-streamed chunk summaries, and reports throughput plus peak RSS.
+in-process, sharing one channel table through shared memory, or forked
+lease workers — same code path either way), merges the streamed chunk
+summaries, and reports throughput plus peak RSS.
 
 Memory stays O(chunk_size): no structure here grows with the fleet's
 device count except the list of fixed-size chunk summaries (O(chunks)).
@@ -31,7 +32,7 @@ __all__ = ["FleetRunResult", "run_fleet", "peak_rss_bytes"]
 def peak_rss_bytes(include_children: bool = True) -> int:
     """Peak resident set size of this process (and reaped children), bytes.
 
-    ``ru_maxrss`` is kilobytes on Linux; children matter because pool
+    ``ru_maxrss`` is kilobytes on Linux; children matter because lease
     workers do the actual simulation in parallel runs.
     """
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -87,11 +88,13 @@ def run_fleet(
 ) -> FleetRunResult:
     """Run a fleet spec end to end and merge its chunk summaries.
 
-    ``share_channel`` defaults to "when vectorized": the prefix table is
-    published to ``multiprocessing.shared_memory`` once and every chunk
-    (in-process or pool worker) attaches instead of re-deriving it.  The
-    publisher's context manager closes *and* unlinks even when the run
-    dies mid-flight; workers only close.
+    ``share_channel`` defaults to "when vectorized": when the executor
+    runs the chunks in this process, the prefix table is published to ``multiprocessing.shared_memory`` once
+    and every chunk attaches instead of re-deriving it.  Lease workers
+    get chunks over the wire without a handle and build the table
+    themselves, so nothing is published for them.  The publisher's
+    context manager closes *and* unlinks even when the run dies
+    mid-flight; attached readers only close.
 
     ``recorder`` optionally receives one ``fleet_chunk`` event per chunk
     summary plus a closing ``fleet_run`` event.  (Chunk specs cross
@@ -100,7 +103,7 @@ def run_fleet(
 
     ``retry`` / ``faults`` / ``journal`` flow straight into
     :class:`~repro.sim.parallel.executor.ExperimentExecutor`: retry
-    policy for crashed/hung pool workers, a deterministic
+    policy for crashed/hung workers, a deterministic
     :class:`~repro.faults.FaultPlan` to inject failures, and a
     :class:`~repro.sim.parallel.journal.RunJournal` for
     ``fleet --resume`` bookkeeping.
@@ -108,8 +111,8 @@ def run_fleet(
     ``make_executor`` swaps the placement layer: a factory called with
     the executor keyword arguments above (minus ``workers``) that
     returns an :class:`ExperimentExecutor`-compatible instance — the
-    hook ``--workers-remote`` uses to route chunks through the
-    distributed :class:`~repro.sim.dist.DistExecutor`.  Chunk content
+    hook the CLI uses to build its executor from the placement flags
+    (``--bind`` yields a :class:`~repro.sim.dist.DistExecutor`).  Chunk content
     hashes exclude the shared-channel handle, so cache, journal and
     results are identical whichever placement runs them.
     """
@@ -120,26 +123,26 @@ def run_fleet(
         share_channel = vectorized
     profiler = PhaseProfiler()
     started = time.perf_counter()
+    common = dict(
+        cache_dir=cache_dir,
+        progress=progress,
+        retry=retry,
+        faults=faults,
+        journal=journal,
+        recorder=recorder,
+    )
+    if make_executor is not None:
+        executor = make_executor(**common)
+    else:
+        executor = ExperimentExecutor(workers=workers, **common)
     with contextlib.ExitStack() as stack:
         with profiler.phase("channel_publish"):
-            if share_channel and vectorized:
+            if share_channel and vectorized and executor.in_process:
                 table = ChannelTable.from_model(spec.bandwidth_model(), spec.horizon)
                 shared = stack.enter_context(SharedChannel.publish(table))
                 chunks = spec.chunk_specs(channel=shared.handle)
             else:
                 chunks = spec.chunk_specs()
-        common = dict(
-            cache_dir=cache_dir,
-            progress=progress,
-            retry=retry,
-            faults=faults,
-            journal=journal,
-            recorder=recorder,
-        )
-        if make_executor is not None:
-            executor = make_executor(**common)
-        else:
-            executor = ExperimentExecutor(workers=workers, **common)
         if not vectorized:
             # Fallback visibility: count it where dashboards look and
             # stamp it into the trace so a slow run explains itself.
@@ -187,10 +190,7 @@ def run_fleet(
         chunks=len(results),
         cached_chunks=sum(1 for r in results if r.cached),
         vectorized=vectorized,
-        peak_rss=peak_rss_bytes(
-            include_children=(workers is not None and workers > 1)
-            or make_executor is not None
-        ),
+        peak_rss=peak_rss_bytes(include_children=not executor.in_process),
         metrics=executor.metrics.to_dict(),
         phases=profiler.as_dict(),
         executor_stats=executor.stats,

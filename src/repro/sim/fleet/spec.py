@@ -1,4 +1,4 @@
-"""Declarative fleet jobs: chunked, hashable, pool-dispatchable.
+"""Declarative fleet jobs: chunked, hashable, lease-dispatchable.
 
 A fleet run is described by a :class:`FleetSpec` — population size,
 strategy, scenario knobs — and splits into :class:`FleetChunkSpec`\\ s of
@@ -185,7 +185,7 @@ class FleetChunkSpec(_FleetFields):
         return f"{self.strategy} fleet devices [{lo}, {lo + self.n_devices})"
 
     def run_in_worker(self) -> Dict[str, Any]:
-        """Synthesize, simulate and reduce this chunk; the pool entry point.
+        """Synthesize, simulate and reduce this chunk; the worker entry point.
 
         Pure function of the spec's hashed fields: the shared-channel
         handle only short-circuits rebuilding the same prefix table.

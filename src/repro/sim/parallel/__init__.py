@@ -1,7 +1,7 @@
 """Parallel multi-seed/parameter experiment execution.
 
 See :mod:`repro.sim.parallel.specs` for the declarative job model,
-:mod:`repro.sim.parallel.executor` for the process-pool runner, and
+:mod:`repro.sim.parallel.executor` for the runner, and
 ``docs/parallelism.md`` for the cache layout and determinism guarantees.
 """
 

@@ -8,9 +8,9 @@ Layout (two-level fan-out keeps directories small on big sweeps)::
 
 Each entry stores the spec (for auditing), the summary dict, and the
 wall time of the run that produced it.  Writes go through a temp file +
-``os.replace`` so concurrent writers (pool workers finishing the same
-cell, two sweeps sharing a cache) can never leave a torn entry; a corrupt
-or unreadable entry is treated as a miss and rewritten.
+``os.replace`` so concurrent writers (two sweeps sharing a cache and
+finishing the same cell) can never leave a torn entry; a corrupt or
+unreadable entry is treated as a miss and rewritten.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Process-pool experiment executor with caching and fault tolerance.
+"""Experiment executor with caching and fault tolerance.
 
 The executor fans a grid of :class:`~repro.sim.parallel.specs.JobSpec`
 cells across worker processes.  Four properties the rest of the library
@@ -11,16 +11,17 @@ leans on:
 * **Caching** — with a ``cache_dir``, completed cells are stored under
   their spec's content hash; reruns and overlapping sweeps skip the
   simulation entirely (visible in :class:`ExecutorStats`).
-* **Fault tolerance** — a worker dying (OOM kill, segfault, injected
-  crash) breaks the whole ``ProcessPoolExecutor``; this executor requeues
-  the lost jobs under a bounded per-job retry budget, rebuilds the pool
-  with exponential backoff, enforces an optional per-job timeout by
-  killing hung workers, and — when the pool keeps dying — degrades to
-  in-process serial execution rather than failing the run.  Because jobs
-  are pure functions of their specs, a retried job returns the exact
-  bytes the first attempt would have (see ``docs/robustness.md``).
+* **Fault tolerance** — parallel runs go through the lease coordinator
+  of :mod:`repro.sim.dist`: a worker dying (OOM kill, segfault, injected
+  crash) drops its connection and its lease is requeued under a bounded
+  per-job retry budget, a worker holding a lease past the per-job
+  timeout is killed, dead workers are respawned within a budget, and —
+  when they keep dying — the remaining jobs degrade to in-process serial
+  execution rather than failing the run.  Because jobs are pure
+  functions of their specs, a retried job returns the exact bytes the
+  first attempt would have (see ``docs/robustness.md``).
 * **Instrumentation** — jobs done, per-job wall time, cache hits,
-  retries/timeouts/pool rebuilds and worker utilization accumulate in
+  retries/timeouts/respawns and worker utilization accumulate in
   ``executor.stats``, the ``executor.*`` counters of
   ``executor.metrics``, and stream through the optional ``progress``
   callback; an optional ``recorder`` receives one structured event per
@@ -28,20 +29,17 @@ leans on:
 
 ``workers=None`` (the default) runs jobs in-process, in submission
 order — the drop-in replacement for the old serial loops, sharing the
-exact code path workers use.  ``workers=N`` uses a pool of N processes.
+exact code path workers use.  ``workers=N`` (N > 1) forks N local lease
+workers attached to a localhost coordinator.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.obs.events import EventType
 from repro.obs.metrics import MetricsRegistry, metrics_scope
 from repro.sim.parallel.cache import ResultCache
 from repro.sim.parallel.specs import JobSpec, run_job
@@ -68,51 +66,32 @@ class JobResult:
 class RetryPolicy:
     """How the executor responds to worker death and hung jobs.
 
-    ``max_retries`` bounds *resubmissions per job*: a job may be
-    submitted to the pool at most ``1 + max_retries`` times; a job lost
-    beyond that budget gets one last-resort in-process serial run (with
-    fault injection off) instead of failing the sweep.  Pool rebuild
-    ``k`` waits ``backoff_base * backoff_factor**(k-1)`` seconds, and
-    after ``max_pool_rebuilds`` rebuilds the executor stops trusting the
-    pool entirely and finishes the remaining jobs serially.
-    ``job_timeout`` (seconds of *running* time, measured from when the
-    job's future is first observed ``running()``, not from submission)
-    kills the pool's workers when exceeded — the only way to unstick a
-    hung ``ProcessPoolExecutor`` worker — and requeues the in-flight
-    jobs.  Caveat: the stdlib marks a future running once it is
-    *prefetched* into the worker call queue (which buffers up to
-    ``max_workers + 1`` items), possibly before any worker picks it up,
-    so a job queued behind a slow one can be charged wait time it never
-    executed.  Budget ``job_timeout`` to cover roughly two back-to-back
-    worst-case jobs, not one, to keep that overcount from tripping a
-    spurious pool kill.
+    ``max_retries`` bounds *leases per job*: a job may be handed to a
+    worker at most ``1 + max_retries`` times; a job lost beyond that
+    budget gets one last-resort in-process serial run (with fault
+    injection off) instead of failing the sweep.  Dead local workers are
+    respawned at most ``max_pool_rebuilds`` times per run; past that, with
+    no worker left, the executor finishes the remaining jobs serially.
+    ``job_timeout`` (seconds from the lease grant, never extended by
+    heartbeats) revokes and requeues a job that overruns it and kills
+    the local worker that held it.
     """
 
     max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
     job_timeout: Optional[float] = None
     max_pool_rebuilds: int = 3
-    #: Poll period for the timeout watchdog (only used with a timeout).
+    #: Poll period of the lease watchdog (expiries and respawns).
     poll_interval: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff needs base >= 0 and factor >= 1")
         if self.job_timeout is not None and self.job_timeout <= 0:
             raise ValueError(f"job_timeout must be > 0, got {self.job_timeout}")
         if self.max_pool_rebuilds < 0:
             raise ValueError(
                 f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
             )
-
-    def backoff(self, rebuild: int) -> float:
-        """Seconds to pause before pool rebuild number ``rebuild`` (1-based)."""
-        if rebuild <= 0:
-            return 0.0
-        return self.backoff_base * self.backoff_factor ** (rebuild - 1)
 
 
 @dataclass
@@ -129,10 +108,10 @@ class ExecutorStats:
     job_times: List[float] = field(default_factory=list)
     # Fault-tolerance counters (all zero on a healthy run).
     retries: int = 0  # resubmissions after a job was lost
-    worker_failures: int = 0  # pool-break events from worker death
-    timeouts: int = 0  # jobs whose running time exceeded job_timeout
-    pool_rebuilds: int = 0  # pools rebuilt after a break
-    serial_fallbacks: int = 0  # pool given up on entirely
+    worker_failures: int = 0  # connections lost with live leases
+    timeouts: int = 0  # leases that overran job_timeout
+    pool_rebuilds: int = 0  # dead local workers respawned
+    serial_fallbacks: int = 0  # local workers given up on entirely
     serial_rescues: int = 0  # jobs run in-process after exhausting retries
 
     @property
@@ -167,11 +146,12 @@ def _job_key(spec) -> str:
     return spec.content_hash()
 
 
-def _execute_indexed(payload):
-    """Pool entry point: run one (index, spec) pair, timing it.
+def _execute(spec, faults=None, attempt: int = 1):
+    """Worker entry point: run one job, timing it.
 
-    Each job runs inside its own :func:`~repro.obs.metrics.metrics_scope`
-    so engine-side instrumentation lands in a per-job registry that ships
+    Returns ``(summary, wall seconds, pid, metrics dict)``.  Each job
+    runs inside its own :func:`~repro.obs.metrics.metrics_scope` so
+    engine-side instrumentation lands in a per-job registry that ships
     back with the summary; the executor merges the registries
     associatively, exactly like fleet chunk summaries.
 
@@ -180,7 +160,6 @@ def _execute_indexed(payload):
     worker via ``os._exit`` before any simulation state exists, which is
     what makes retried jobs bit-identical to undisturbed ones.
     """
-    index, spec, faults, attempt = payload
     if faults is not None:
         faults.inject(_job_key(spec), attempt)
     started = time.perf_counter()
@@ -189,11 +168,19 @@ def _execute_indexed(payload):
     elapsed = time.perf_counter() - started
     registry.counter("executor.jobs").inc()
     registry.histogram("executor.job_wall_s").observe(elapsed)
-    return index, summary, elapsed, os.getpid(), registry.to_dict()
+    return summary, elapsed, os.getpid(), registry.to_dict()
+
+
+def _run_in_process(spec) -> JobResult:
+    """Run one job here, fault injection off (serial runs and rescues)."""
+    summary, elapsed, pid, metrics = _execute(spec)
+    return JobResult(
+        spec=spec, summary=summary, wall_time=elapsed, worker_pid=pid, metrics=metrics
+    )
 
 
 class ExperimentExecutor:
-    """Runs job grids serially in-process or across a process pool."""
+    """Runs job grids serially in-process or on forked lease workers."""
 
     def __init__(
         self,
@@ -211,10 +198,10 @@ class ExperimentExecutor:
         self.workers = workers
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.progress = progress
-        #: Failure-handling knobs; the default policy retries twice with
-        #: exponential backoff and never times jobs out.
+        #: Failure-handling knobs; the default policy retries twice and
+        #: never times jobs out.
         self.retry = retry if retry is not None else RetryPolicy()
-        #: Optional :class:`repro.faults.FaultPlan`.  Injected in pool
+        #: Optional :class:`repro.faults.FaultPlan`.  Injected in lease
         #: workers only — an in-process crash/hang would take down or
         #: stall the parent, which is the failure mode, not the test.
         self.faults = faults
@@ -232,6 +219,11 @@ class ExperimentExecutor:
         #: ``executor.worker_failures`` / ``executor.pool_rebuilds``
         #: counters land here too.
         self.metrics = MetricsRegistry()
+
+    @property
+    def in_process(self) -> bool:
+        """Whether jobs run in this process rather than on lease workers."""
+        return self.workers is None or self.workers == 1
 
     def _absorb_metrics(self, result: JobResult) -> None:
         if result.metrics:
@@ -293,203 +285,13 @@ class ExperimentExecutor:
             },
         )
 
-    def _run_pool(
-        self, misses: List[int], jobs: Sequence[JobSpec], results: List[Optional[JobResult]]
-    ) -> None:
-        """Pooled execution that survives worker death and hung workers.
-
-        The loop runs one *pool generation* at a time: submit everything
-        queued, collect until the generation either drains or breaks
-        (worker death / timeout kill), requeue whatever was lost, and
-        rebuild.  Each requeue consumes one unit of the lost job's retry
-        budget; jobs over budget — and every remaining job once the pool
-        has broken ``max_pool_rebuilds + 1`` times — run in-process
-        instead, so worker failures degrade throughput, never results.
-        """
-        policy = self.retry
-        total = len(jobs)
-        done = total - len(misses)
-        submissions: Dict[int, int] = {i: 0 for i in misses}
-        queue: deque = deque(misses)
-        rescues: List[int] = []  # run serially, faults off
-        breaks = 0
-
-        while queue:
-            if breaks > policy.max_pool_rebuilds:
-                self._count_fault("serial_fallbacks")
-                self._emit(
-                    {"ev": EventType.SERIAL_FALLBACK, "jobs": len(queue), "breaks": breaks}
-                )
-                rescues.extend(queue)
-                queue.clear()
-                break
-            if breaks:
-                self._count_fault("pool_rebuilds")
-                delay = policy.backoff(breaks)
-                if delay > 0:
-                    time.sleep(delay)
-            done, broke = self._pool_generation(
-                queue, jobs, results, submissions, rescues, done, total
-            )
-            if broke:
-                breaks += 1
-
-        for i in rescues:
-            self._count_fault("serial_rescues")
-            done = self._run_one_serial(i, jobs, results, done, total)
-
-    def _pool_generation(
-        self,
-        queue: deque,
-        jobs: Sequence[JobSpec],
-        results: List[Optional[JobResult]],
-        submissions: Dict[int, int],
-        rescues: List[int],
-        done: int,
-        total: int,
-    ):
-        """One pool lifetime; returns ``(done, broke)``."""
-        policy = self.retry
-        max_workers = min(self.workers or 1, len(queue))
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-        pending: Dict = {}  # future -> job index
-        first_running: Dict = {}  # future -> perf_counter when seen running
-        lost: List[int] = []
-        timed_out: List[int] = []
-        broke = False
-        try:
-            while queue:
-                i = queue.popleft()
-                attempt = submissions[i] + 1
-                try:
-                    future = pool.submit(
-                        _execute_indexed, (i, jobs[i], self.faults, attempt)
-                    )
-                except BrokenProcessPool:
-                    # The pool died under us mid-submission.  This job
-                    # never reached a worker, so it spends no retry
-                    # budget: put it back at the head of the queue for
-                    # the next generation (dropping it here would shift
-                    # every later result in the grid).
-                    queue.appendleft(i)
-                    broke = True
-                    break
-                submissions[i] = attempt
-                if attempt > 1:
-                    self._count_fault("retries")
-                    self._emit(
-                        {
-                            "ev": EventType.JOB_RETRY,
-                            "job": jobs[i].describe(),
-                            "attempt": attempt,
-                        }
-                    )
-                pending[future] = i
-            poll = policy.poll_interval if policy.job_timeout is not None else None
-            while pending and not broke:
-                finished, _ = wait(
-                    set(pending), timeout=poll, return_when=FIRST_COMPLETED
-                )
-                for future in finished:
-                    i = pending.pop(future)
-                    first_running.pop(future, None)
-                    try:
-                        index, summary, elapsed, pid, metrics = future.result()
-                    except BrokenProcessPool:
-                        lost.append(i)
-                        broke = True
-                        continue
-                    result = JobResult(
-                        spec=jobs[index],
-                        summary=summary,
-                        wall_time=elapsed,
-                        worker_pid=pid,
-                        metrics=metrics,
-                    )
-                    results[index] = result
-                    done = self._finish(result, done, total)
-                if broke or policy.job_timeout is None:
-                    continue
-                now = time.perf_counter()
-                for future in pending:
-                    # running() flips when the future is prefetched into
-                    # the call queue, not when a worker dequeues it — so
-                    # this clock can start early by up to one preceding
-                    # job's runtime (see the RetryPolicy docstring).
-                    if future not in first_running and future.running():
-                        first_running[future] = now
-                overdue = [
-                    future
-                    for future, t0 in first_running.items()
-                    if future in pending and now - t0 > policy.job_timeout
-                ]
-                if overdue:
-                    timed_out = [pending[f] for f in overdue]
-                    self._count_fault("timeouts", len(overdue))
-                    self._kill_workers(pool)
-                    broke = True
-        except BrokenProcessPool:  # pragma: no cover - safety net; submit
-            broke = True  # and result() handle their breaks locally
-        finally:
-            if broke:
-                # Everything still pending died with the pool; requeue
-                # within budget, collect the rest for serial rescue.
-                lost.extend(pending.values())
-                pending.clear()
-                if lost and not timed_out:
-                    self._count_fault("worker_failures")
-                self._emit(
-                    {
-                        "ev": EventType.WORKER_FAILURE,
-                        "lost": len(lost),
-                        "timed_out": len(timed_out),
-                    }
-                )
-                for i in lost:
-                    if submissions[i] <= policy.max_retries:
-                        queue.append(i)
-                    else:
-                        rescues.append(i)
-            pool.shutdown(wait=True, cancel_futures=True)
-        return done, broke
-
-    @staticmethod
-    def _kill_workers(pool: ProcessPoolExecutor) -> None:
-        """SIGKILL every pool worker — the only cure for a hung job."""
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.kill()
-            except (OSError, AttributeError):  # pragma: no cover - racing exit
-                pass
-
-    def _run_one_serial(
-        self,
-        i: int,
-        jobs: Sequence[JobSpec],
-        results: List[Optional[JobResult]],
-        done: int,
-        total: int,
-    ) -> int:
-        """Run one job in-process (no fault injection) and record it."""
-        index, summary, elapsed, pid, metrics = _execute_indexed(
-            (i, jobs[i], None, 1)
-        )
-        result = JobResult(
-            spec=jobs[index],
-            summary=summary,
-            wall_time=elapsed,
-            worker_pid=pid,
-            metrics=metrics,
-        )
-        results[index] = result
-        return self._finish(result, done, total)
-
     def _run_serial(
         self, misses: List[int], jobs: Sequence[JobSpec], results: List[Optional[JobResult]]
     ) -> None:
         done = len(jobs) - len(misses)
         for i in misses:
-            done = self._run_one_serial(i, jobs, results, done, len(jobs))
+            results[i] = _run_in_process(jobs[i])
+            done = self._finish(results[i], done, len(jobs))
 
     def _dispatch(
         self, misses: List[int], jobs: Sequence[JobSpec], results: List[Optional[JobResult]]
@@ -498,12 +300,18 @@ class ExperimentExecutor:
 
         Everything around this call — cache prefill, journaling of hits,
         the hole check, and stats accounting — is placement-independent
-        and shared; only *where* the misses run differs (in-process,
-        process pool here; TCP workers in
-        :class:`repro.sim.dist.DistExecutor`).
+        and shared; only *where* the misses run differs: in-process, or
+        on ``workers`` forked local lease workers (the same coordinator
+        :class:`repro.sim.dist.DistExecutor` runs for external workers).
         """
         if self.workers is not None and self.workers > 1 and len(misses) > 1:
-            self._run_pool(misses, jobs, results)
+            from repro.sim.dist.coordinator import DistConfig, LeaseRun
+
+            LeaseRun(
+                self, misses, jobs, results,
+                spawn_workers=min(self.workers, len(misses)),
+                config=DistConfig(),
+            ).run()
         else:
             self._run_serial(misses, jobs, results)
 

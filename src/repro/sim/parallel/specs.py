@@ -12,7 +12,7 @@ in any worker.  Determinism rests on two properties:
 
 Rebuilding the same spec therefore yields the same
 ``SimulationResult.summary()`` dict whether it runs serially in the parent
-process or in a pool worker.
+process or in a lease worker.
 """
 
 from __future__ import annotations
@@ -430,7 +430,7 @@ class JobSpec:
 
 
 def run_job(spec: JobSpec) -> Dict[str, float]:
-    """Execute one job start-to-finish; the module-level pool entry point.
+    """Execute one job start-to-finish; the module-level worker entry point.
 
     Rebuilds the scenario from its spec (resetting the packet-id counter),
     instantiates the strategy, runs the slotted simulation and returns the

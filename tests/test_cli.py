@@ -1,5 +1,7 @@
 """Unit tests for the CLI."""
 
+import signal
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -211,20 +213,47 @@ class TestFaultToleranceFlags:
         from repro.cli import build_fleet_parser, build_sweep_parser
 
         args = build_sweep_parser().parse_args(
-            ["--workers-remote", "2", "--bind", "0.0.0.0:7777",
+            ["--workers", "2", "--bind", "0.0.0.0:7777",
              "--min-workers", "3", "--lease-timeout", "12.5"]
         )
-        assert args.workers_remote == 2 and args.bind == "0.0.0.0:7777"
+        assert args.workers == 2 and args.bind == "0.0.0.0:7777"
         assert args.min_workers == 3 and args.lease_timeout == 12.5
-        fleet = build_fleet_parser().parse_args(["--workers-remote", "1"])
-        assert fleet.workers_remote == 1 and fleet.bind is None
+        fleet = build_fleet_parser().parse_args(["--workers", "1"])
+        assert fleet.workers == 1 and fleet.bind is None
 
     def test_bad_bind_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["sweep", "--seeds", "1", "--horizon", "240", "--quiet",
-                  "--bind", "nonsense", "--workers-remote", "1"])
+                  "--bind", "nonsense", "--workers", "1"])
         assert exc_info.value.code == 2
         assert "--bind wants HOST:PORT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lease-timeout", "5"],
+            ["--min-workers", "2"],
+            ["--workers", "2", "--min-workers", "3"],
+        ],
+    )
+    @pytest.mark.parametrize("command", ["sweep", "fleet"])
+    def test_coordinator_flags_without_bind_exit_2(self, capsys, command, flags):
+        """No listen address means no external worker can join: these
+        flags are refused up front instead of holding a barrier that
+        never opens."""
+        def overdue(signum, frame):
+            raise AssertionError(f"{command} {flags} still running after 20 s")
+
+        previous = signal.signal(signal.SIGALRM, overdue)
+        signal.alarm(20)  # a regression fails here instead of hanging
+        try:
+            with pytest.raises(SystemExit) as exc_info:
+                main([command, "--quiet", *flags])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert exc_info.value.code == 2
+        assert "requires --bind" in capsys.readouterr().err
 
     def test_coordinate_usage_and_delegation(self, capsys):
         assert main(["coordinate"]) == 2

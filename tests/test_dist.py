@@ -4,9 +4,9 @@ The wire-protocol tests pin the job/result encoding (a spec must survive
 a JSON round trip with its content hash intact — that hash is the cache
 key, the journal key and the lease key, so any drift silently corrupts
 all three).  The end-to-end tests boot a real coordinator with real
-spawned worker processes over localhost TCP and assert the property the
-whole subsystem exists to preserve: results are byte-identical to a
-serial in-process run, whatever the placement.
+forked and external worker processes over localhost TCP and assert the
+property the whole subsystem exists to preserve: results are
+byte-identical to a serial in-process run, whatever the placement.
 
 Host-failure scenarios (kill -9 of workers and of the coordinator) live
 in ``tests/test_failure_injection.py`` with the other ``-m faults``
@@ -131,6 +131,38 @@ class TestPlacementInvariance:
         )
         assert dist.summary.to_dict() == serial.summary.to_dict()
         assert dist.chunks == serial.chunks
+
+    def test_external_worker_matches_serial(self):
+        """One external worker process (a fresh interpreter, ``python -m
+        repro.sim.dist.worker``) returns the serial summaries exactly."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        jobs = _grid()
+        serial = [r.summary for r in ExperimentExecutor().run(jobs)]
+
+        workers = []
+
+        def attach(line):
+            address = line.split()[3]
+            workers.append(subprocess.Popen(
+                [sys.executable, "-m", "repro.sim.dist.worker",
+                 "--connect", address],
+                env=env,
+            ))
+
+        external = DistExecutor(
+            config=DistConfig(min_workers=1), announce=attach
+        ).run(jobs)
+        assert workers[0].wait(timeout=60) == 0
+        assert [r.summary for r in external] == serial
 
     def test_second_run_is_all_cache_hits_no_workers(self, tmp_path):
         """A fully warmed cache resolves without opening a single port:

@@ -406,13 +406,13 @@ class TestRetryMetricsMatchInjection:
 class TestShmLeakAndSweep:
     def test_killed_fleet_run_leaks_then_cleanup_shm_sweeps(self, tmp_path):
         """ISSUE acceptance: a SIGKILLed fleet run orphans its etrain-*
-        segments; ``etrain fleet --cleanup-shm`` removes them all."""
+        segments; ``etrain fleet --cleanup-shm`` removes them all.  Only
+        an in-process run publishes its channel table, so the victim is
+        a serial run long enough (seconds) to be caught mid-simulation."""
         from repro.sim.fleet.channel import SHM_DIR, SHM_PREFIX
 
         victim = _spawn_cli(
-            ["fleet", "--devices", "64", "--chunk-size", "16",
-             "--workers", "2", "--quiet",
-             "--faults", "hang=1,seed=0,hang_seconds=300"],
+            ["fleet", "--devices", "2048", "--chunk-size", "512", "--quiet"],
             tmp_path,
         )
         mine = f"{SHM_PREFIX}{victim.pid}-"
@@ -510,16 +510,11 @@ class TestTornFiles:
 
 
 # ---------------------------------------------------------------------------
-# Host-level failures (repro.sim.dist): worker *processes* die mid-chunk
-# and the coordinator itself is SIGKILLed mid-journal-append.  Same
-# recovery contract as pool workers: requeue, retry accounting, resume
-# byte-identity.
+# Host-level failures (repro.sim.dist): lease worker *processes* die
+# mid-chunk and the coordinator itself is SIGKILLed mid-journal-append.
+# Recovery contract: requeue, retry accounting, resume byte-identity.
 # ---------------------------------------------------------------------------
 
-DIST_SWEEP_ARGS = [
-    "sweep", "--strategies", "immediate,etrain", "--seeds", "3",
-    "--horizon", "1200", "--workers-remote", "2", "--quiet",
-]
 
 
 @pytest.mark.faults
@@ -547,7 +542,7 @@ class TestDistWorkerDeathMidChunk:
                 "--horizon", "240", "--quiet"]
         metrics_path = tmp_path / "metrics.json"
         crashed = _run_cli(
-            args + ["--workers-remote", "2",
+            args + ["--workers", "2",
                     "--faults", f"crash=0.2,seed={seed}",
                     "--metrics-out", str(metrics_path)],
             tmp_path,
@@ -573,7 +568,7 @@ class TestDistCoordinatorKillThenResume:
         self, tmp_path
     ):
         """Kill -9 the *coordinator* (journal owner) mid-run, tear the
-        journal's tail mid-append, then ``--resume --workers-remote``:
+        journal's tail mid-append, then ``--resume --workers 2``:
         the table must be byte-identical to a never-killed serial run."""
         from repro.faults import FaultPlan, truncate_tail
         from repro.sim.parallel import run_key_of
@@ -594,7 +589,7 @@ class TestDistCoordinatorKillThenResume:
         cache = tmp_path / "cache"
         journal = cache / "journal" / f"{run_key_of(keys)[:16]}.jsonl"
         victim = _spawn_cli(
-            DIST_SWEEP_ARGS
+            SWEEP_ARGS
             + ["--cache-dir", str(cache), "--faults",
                f"hang=0.5,seed={seed},hang_seconds=300"],
             tmp_path,
@@ -627,7 +622,7 @@ class TestDistCoordinatorKillThenResume:
         truncate_tail(journal, 5)
 
         resumed = _run_cli(
-            DIST_SWEEP_ARGS + ["--cache-dir", str(cache), "--resume"], tmp_path
+            SWEEP_ARGS + ["--cache-dir", str(cache), "--resume"], tmp_path
         )
         assert resumed.returncode == 0, resumed.stderr
         assert "resuming:" in resumed.stdout
@@ -638,3 +633,32 @@ class TestDistCoordinatorKillThenResume:
         assert reference.returncode == 0, reference.stderr
         assert _sweep_table(resumed.stdout) == _sweep_table(reference.stdout)
 
+
+@pytest.mark.dist
+class TestBindComposesWithWorkers:
+    def test_local_and_external_workers_share_one_coordinator(self, tmp_path):
+        """``--workers 1 --bind ... --min-workers 2``: one forked local
+        worker and one external ``etrain worker --connect`` both attach
+        before any lease is granted; the table matches a serial run."""
+        args = ["sweep", "--strategies", "immediate,etrain", "--seeds", "2",
+                "--horizon", "240", "--quiet"]
+        coordinator = _spawn_cli(
+            args + ["--workers", "1", "--bind", "127.0.0.1:0",
+                    "--min-workers", "2"],
+            tmp_path,
+        )
+        try:
+            line = coordinator.stdout.readline()
+            assert line.startswith("coordinator: listening on "), line
+            address = line.split()[3]
+            worker = _run_cli(["worker", "--connect", address], tmp_path)
+            out, err = coordinator.communicate(timeout=120)
+        finally:
+            if coordinator.poll() is None:  # pragma: no cover - wedged
+                os.killpg(coordinator.pid, signal.SIGKILL)
+                coordinator.communicate()
+        assert worker.returncode == 0, worker.stderr
+        assert coordinator.returncode == 0, err
+        reference = _run_cli(args, tmp_path)
+        assert reference.returncode == 0, reference.stderr
+        assert _sweep_table(line + out) == _sweep_table(reference.stdout)

@@ -151,6 +151,25 @@ def test_run_fleet_workers_match_serial():
     assert pooled.delay_cost_sum == pytest.approx(serial.delay_cost_sum, rel=1e-12)
 
 
+def test_run_fleet_publishes_the_channel_only_for_in_process_chunks(monkeypatch):
+    # Lease workers get chunks over the wire without the shared-memory
+    # handle, so a parallel run has no reader for a published table.
+    published = []
+    publish = SharedChannel.publish
+
+    def counting_publish(table):
+        published.append(table)
+        return publish(table)
+
+    monkeypatch.setattr(SharedChannel, "publish", counting_publish)
+    spec = small_spec(devices=4, chunk_size=2)
+    serial = run_fleet(spec)
+    assert len(published) == 1
+    parallel = run_fleet(spec, workers=2)
+    assert len(published) == 1
+    assert parallel.summary.to_dict() == serial.summary.to_dict()
+
+
 def test_run_fleet_caches_chunks(tmp_path):
     spec = small_spec()
     cold = run_fleet(spec, cache_dir=tmp_path / "cache")
