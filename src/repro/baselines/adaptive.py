@@ -10,7 +10,7 @@ the target without manual tuning.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.baselines.etrain import ETrainStrategy
 from repro.core.packet import Packet
@@ -104,11 +104,21 @@ class AdaptiveThetaETrainStrategy(ETrainStrategy):
 
 
 # ---------------------------------------------------------------------------
-# vectorized fleet kernel (registered in repro.sim.fleet.registry)
+# vectorized fleet kernel (named in repro.sim.parallel.specs.STRATEGIES)
 # ---------------------------------------------------------------------------
 
 
-def adaptive_fleet_kernel(workload, table, params: Dict, power_model, *, profiler=None):
+def adaptive_fleet_kernel(
+    workload,
+    table,
+    power_model,
+    *,
+    profiler=None,
+    target_delay,
+    theta_init,
+    window,
+    warm_gate,
+):
     """Batched adaptive-Θ eTrain over the device axis of one fleet chunk.
 
     The slot dynamics are exactly the shared eTrain kernel with Θ as a
@@ -131,22 +141,12 @@ def adaptive_fleet_kernel(workload, table, params: Dict, power_model, *, profile
 
     from repro.sim.fleet.engine import (
         _flat_packets,
-        _reject_extra,
         _simulate_etrain,
         fleet_slot_count,
     )
 
-    target_delay = float(params.pop("target_delay", 30.0))
-    theta_init = float(params.pop("theta_init", 0.5))
-    window = int(params.pop("window", 40))
-    warm_gate = bool(params.pop("warm_gate", True))
-    _reject_extra(params)
-    if target_delay <= 0:
-        raise ValueError(f"target_delay must be > 0, got {target_delay}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if theta_init < 0:
-        raise ValueError(f"theta must be >= 0, got {theta_init}")
+    target_delay, theta_init = float(target_delay), float(theta_init)
+    window, warm_gate = int(window), bool(warm_gate)
     if np.any(workload.deadlines < 2.0):
         raise ValueError("fleet adaptive requires all deadlines >= 2 s")
 

@@ -116,11 +116,23 @@ class ChannelAwareETrainStrategy(ETrainStrategy):
 
 
 # ---------------------------------------------------------------------------
-# vectorized fleet kernel (registered in repro.sim.fleet.registry)
+# vectorized fleet kernel (named in repro.sim.parallel.specs.STRATEGIES)
 # ---------------------------------------------------------------------------
 
 
-def channel_aware_fleet_kernel(workload, table, params, power_model, *, profiler=None):
+def channel_aware_fleet_kernel(
+    workload,
+    table,
+    power_model,
+    *,
+    profiler=None,
+    theta,
+    quality_threshold,
+    max_defer,
+    lag,
+    noise,
+    est_seed,
+):
     """Vectorized channel-aware eTrain over one fleet chunk.
 
     The strategy is eTrain plus a release gate, and both halves reduce
@@ -143,23 +155,13 @@ def channel_aware_fleet_kernel(workload, table, params, power_model, *, profiler
 
     from repro.sim.fleet.engine import (
         _flat_packets,
-        _reject_extra,
         _simulate_etrain,
         fleet_slot_count,
     )
     from repro.sim.fleet.estimator import quality_series
 
-    theta = float(params.pop("theta", 0.2))
-    quality_threshold = float(params.pop("quality_threshold", 1.0))
-    max_defer = float(params.pop("max_defer", 20.0))
-    lag = float(params.pop("lag", 2.0))
-    noise = float(params.pop("noise", 0.3))
-    est_seed = int(params.pop("est_seed", 0))
-    _reject_extra(params)
-    if quality_threshold <= 0:
-        raise ValueError("quality_threshold must be > 0")
-    if max_defer < 0:
-        raise ValueError("max_defer must be >= 0")
+    theta, quality_threshold = float(theta), float(quality_threshold)
+    max_defer, lag, noise = float(max_defer), float(lag), float(noise)
     if np.any(workload.deadlines < 2.0):
         raise ValueError("fleet channel_aware requires all deadlines >= 2 s")
 
@@ -173,7 +175,7 @@ def channel_aware_fleet_kernel(workload, table, params, power_model, *, profiler
         np.arange(n_slots, dtype=np.float64),
         lag=lag,
         noise=noise,
-        seed=est_seed,
+        seed=int(est_seed),
     )
     release_ok = q >= quality_threshold
 

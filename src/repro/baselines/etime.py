@@ -24,7 +24,7 @@ the energy-delay knob (bigger V → longer waits → fewer, larger bursts).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.baselines.base import BandwidthEstimator, TransmissionStrategy
 from repro.core.packet import Packet
@@ -98,11 +98,13 @@ class ETimeStrategy(TransmissionStrategy):
 
 
 # ---------------------------------------------------------------------------
-# vectorized fleet kernel (registered in repro.sim.fleet.registry)
+# vectorized fleet kernel (named in repro.sim.parallel.specs.STRATEGIES)
 # ---------------------------------------------------------------------------
 
 
-def etime_fleet_kernel(workload, table, params: Dict, power_model, *, profiler=None):
+def etime_fleet_kernel(
+    workload, table, power_model, *, profiler=None, v, lag, noise, est_seed
+):
     """Batched eTime over the device axis of one fleet chunk.
 
     The decision rule factorizes cleanly across devices: the quality
@@ -122,18 +124,11 @@ def etime_fleet_kernel(workload, table, params: Dict, power_model, *, profiler=N
         _csr_expand,
         _delivery_slots,
         _flat_packets,
-        _reject_extra,
         fleet_slot_count,
     )
     from repro.sim.fleet.estimator import decision_slot_indices, quality_series
 
-    v = float(params.pop("v", 200_000.0))
-    lag = float(params.pop("lag", 2.0))
-    noise = float(params.pop("noise", 0.3))
-    est_seed = int(params.pop("est_seed", 0))
-    _reject_extra(params)
-    if v < 0:
-        raise ValueError(f"v must be >= 0, got {v}")
+    v, lag, noise, est_seed = float(v), float(lag), float(noise), int(est_seed)
 
     n_slots = fleet_slot_count(workload.horizon)
     pk_app, pk_dev, pk_arr, pk_size, _ = _flat_packets(workload)

@@ -9,12 +9,12 @@ tails*.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.baselines.base import TransmissionStrategy
 from repro.core.packet import Packet
 
-__all__ = ["PeriodicBatchStrategy", "fixed_batch_fleet_kernel"]
+__all__ = ["PeriodicBatchStrategy"]
 
 
 class PeriodicBatchStrategy(TransmissionStrategy):
@@ -72,38 +72,3 @@ class PeriodicBatchStrategy(TransmissionStrategy):
         rounding so no qualifying decision time is ever promised away.
         """
         return self._last_fire + self.period - 1e-9 - 1e-6 * max(self.period, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# vectorized fleet kernel (registered in repro.sim.fleet.registry)
-# ---------------------------------------------------------------------------
-
-
-def fixed_batch_fleet_kernel(workload, table, params: Dict, power_model, *, profiler=None):
-    """Batched fixed-period releases over the device axis of one chunk.
-
-    The fire clock is pure wall-clock and shared by every device, so the
-    release slot of a packet is just the first fire slot at or after its
-    delivery slot — the same closed form the engine's ``periodic`` kernel
-    uses.  ``arrival_wakes=False`` plus whole-queue releases make the
-    loop-free burst builder valid verbatim.
-    """
-    from repro.sim.fleet.engine import (
-        _build_loopfree,
-        _flat_packets,
-        _periodic_release_slots,
-        _reject_extra,
-        fleet_slot_count,
-    )
-
-    period = float(params.pop("period", 60.0))
-    _reject_extra(params)
-    if period <= 0:
-        raise ValueError(f"period must be > 0, got {period}")
-
-    n_slots = fleet_slot_count(workload.horizon)
-    pk_app, pk_dev, pk_arr, pk_size, _ = _flat_packets(workload)
-    release = _periodic_release_slots(pk_arr, n_slots, period)
-    return _build_loopfree(
-        workload, table, release, pk_app, pk_dev, pk_arr, pk_size, n_slots
-    )

@@ -141,11 +141,13 @@ class PerESStrategy(TransmissionStrategy):
 
 
 # ---------------------------------------------------------------------------
-# vectorized fleet kernel (registered in repro.sim.fleet.registry)
+# vectorized fleet kernel (named in repro.sim.parallel.specs.STRATEGIES)
 # ---------------------------------------------------------------------------
 
 
-def peres_fleet_kernel(workload, table, params: Dict, power_model, *, profiler=None):
+def peres_fleet_kernel(
+    workload, table, power_model, *, profiler=None, omega, v_init, lag, noise, est_seed
+):
     """Batched PerES over the device axis of one fleet chunk.
 
     Per slot the kernel evaluates ``P(t) · quality >= V`` and the
@@ -177,22 +179,13 @@ def peres_fleet_kernel(workload, table, params: Dict, power_model, *, profiler=N
         _delivery_slots,
         _flat_packets,
         _head_spec,
-        _reject_extra,
         _transition_slots,
         fleet_slot_count,
     )
     from repro.sim.fleet.estimator import quality_series
 
-    omega = float(params.pop("omega", 0.5))
-    v_init = float(params.pop("v_init", 1.0))
-    lag = float(params.pop("lag", 2.0))
-    noise = float(params.pop("noise", 0.3))
-    est_seed = int(params.pop("est_seed", 0))
-    _reject_extra(params)
-    if omega < 0:
-        raise ValueError(f"omega must be >= 0, got {omega}")
-    if v_init <= 0:
-        raise ValueError(f"v_init must be > 0, got {v_init}")
+    omega, v_init, est_seed = float(omega), float(v_init), int(est_seed)
+    lag, noise = float(lag), float(noise)
     if np.any(workload.deadlines < 2.0):
         raise ValueError("fleet peres requires all deadlines >= 2 s")
 

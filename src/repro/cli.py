@@ -520,7 +520,11 @@ def run_sweep_command(argv: List[str]) -> int:
     groups: List[tuple] = []  # parallel to jobs: (strategy spec, seed)
     for name in strategies:
         for params in _strategy_variants(name, grids):
-            spec = StrategySpec.make(name, **params)
+            try:
+                spec = StrategySpec.make(name, **params)
+            except ValueError as exc:
+                print(f"invalid strategy params: {exc}", file=sys.stderr)
+                return 2
             for seed in seeds:
                 scenario = ScenarioSpec(
                     seed=seed,

@@ -38,8 +38,9 @@ Requests
     ``device_offset``, ``horizon``, ``seed``, ``params``, ``bandwidth``,
     ``power_model``) through the *vectorized* fleet kernel in one call
     and return the aggregated :class:`FleetChunkSummary` as ``fleet``.
-    Only registry-vectorized strategies are accepted (``scalar_only``
-    error otherwise).  Adjacent batch requests in one server micro-batch
+    Configurations the registry's coverage rule leaves to the scalar
+    engine are refused (``scalar_only``); params every path rejects
+    answer ``bad_params``.  Adjacent batch requests in one server micro-batch
     that share a configuration and cover contiguous device ranges are
     fused into a single kernel call; ``coalesced`` reports the fusion
     width.

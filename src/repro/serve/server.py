@@ -173,8 +173,7 @@ class ServeApp:
     # -- ops -----------------------------------------------------------
 
     def _hello(self) -> Dict:
-        from repro.sim.fleet.registry import vector_strategies
-        from repro.sim.parallel.specs import STRATEGY_BUILDERS
+        from repro.sim.parallel.specs import STRATEGY_BUILDERS, vector_strategies
 
         return {
             "ok": True,
@@ -287,7 +286,7 @@ class ServeApp:
         equal keys and contiguous device ranges may be fused into one
         kernel call.
         """
-        from repro.sim.fleet.registry import has_kernel
+        from repro.sim.fleet.spec import fleet_supports
         from repro.sim.parallel.specs import STRATEGY_BUILDERS
 
         strategy = request.get("strategy", "etrain")
@@ -296,16 +295,31 @@ class ServeApp:
                 "bad_request",
                 f"unknown strategy {strategy!r}; known: {sorted(STRATEGY_BUILDERS)}",
             )
-        if not has_kernel(strategy):
-            raise ProtocolError(
-                "scalar_only",
-                f"strategy {strategy!r} has no vectorized fleet kernel; "
-                "open per-device sessions instead",
-            )
         params = request.get("params") or {}
         if not isinstance(params, dict):
             raise ProtocolError(
                 "bad_request", f"params must be an object, got {params!r}"
+            )
+        power_name = request.get("power_model")
+        self._power_model(power_name)  # validates the name
+        bw_spec = request.get("bandwidth")
+        if bw_spec is None:
+            bw_spec = {"kind": self.config.default_bandwidth}
+        self._bandwidth(bw_spec)  # validates the spec
+        try:
+            vectorized = fleet_supports(
+                strategy,
+                params,
+                power_model=power_name or "galaxy_s4_3g",
+                bandwidth=bw_spec["kind"],
+            )
+        except ValueError as exc:
+            raise ProtocolError("bad_params", str(exc))
+        if not vectorized:
+            raise ProtocolError(
+                "scalar_only",
+                f"strategy {strategy!r} with these params and power model "
+                "has no vectorized fleet kernel; open per-device sessions instead",
             )
         try:
             params_key = json.dumps(params, sort_keys=True, separators=(",", ":"))
@@ -324,12 +338,6 @@ class ServeApp:
         if horizon <= 0:
             raise ProtocolError("bad_request", f"horizon must be > 0, got {horizon}")
         seed = self._int(request, "seed", 0, minimum=0)
-        power_name = request.get("power_model")
-        self._power_model(power_name)  # validates the name
-        bw_spec = request.get("bandwidth")
-        if bw_spec is None:
-            bw_spec = {"kind": self.config.default_bandwidth}
-        self._bandwidth(bw_spec)  # validates the spec
         bw_key = json.dumps(bw_spec, sort_keys=True, separators=(",", ":"))
         return {
             "request": request,
@@ -385,23 +393,14 @@ class ServeApp:
             device_offset=base["offset"],
         )
         table = self._channel_table(base["bw_spec"], base["horizon"])
-        try:
-            raw = simulate_fleet_chunk(
-                workload,
-                table,
-                strategy=base["strategy"],
-                params=dict(base["params"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(
-                "bad_request",
-                f"fleet kernel rejected the configuration: {exc}",
-            )
-        pm = self._power_model(base["power_model"])
-        if pm is None:
-            from repro.radio.power_model import GALAXY_S4_3G
-
-            pm = GALAXY_S4_3G
+        pm = self._power_model(base["power_model"] or "galaxy_s4_3g")
+        raw = simulate_fleet_chunk(
+            workload,
+            table,
+            strategy=base["strategy"],
+            params=base["params"],
+            power_model=pm,
+        )
         responses: List[Dict] = []
         lo = 0
         for p in parsed:

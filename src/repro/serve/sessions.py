@@ -31,7 +31,6 @@ from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.bandwidth.models import BandwidthModel
-from repro.baselines.base import BandwidthEstimator
 from repro.core.packet import Heartbeat, Packet, TransmissionRecord
 from repro.core.profiles import CargoAppProfile
 from repro.radio.interface import RadioInterface
@@ -80,19 +79,6 @@ def profiles_from_specs(apps: Sequence[Dict]) -> List[CargoAppProfile]:
     return out
 
 
-class _SessionScenario:
-    """The slice of a Scenario the strategy builders actually touch."""
-
-    def __init__(self, profiles: List[CargoAppProfile], bandwidth) -> None:
-        self.profiles = profiles
-        self.bandwidth = bandwidth
-
-    def estimator(
-        self, *, lag: float = 2.0, noise: float = 0.3, seed: int = 0
-    ) -> BandwidthEstimator:
-        return BandwidthEstimator(self.bandwidth, lag=lag, noise=noise, seed=seed)
-
-
 class DeviceSession:
     """One device's online scheduler: event stream in, decisions out."""
 
@@ -108,7 +94,7 @@ class DeviceSession:
         bandwidth: Optional[BandwidthModel] = None,
         profiles: Optional[Sequence[CargoAppProfile]] = None,
     ) -> None:
-        from repro.sim.parallel.specs import STRATEGY_BUILDERS
+        from repro.sim.parallel.specs import STRATEGY_BUILDERS, BuildScenario
 
         if horizon <= 0:
             raise ProtocolError("bad_request", f"horizon must be > 0, got {horizon}")
@@ -128,10 +114,10 @@ class DeviceSession:
         self.profiles = list(profiles)
         self.horizon = float(horizon)
         self.slot = float(slot)
-        scenario = _SessionScenario(self.profiles, bandwidth)
+        scenario = BuildScenario(self.profiles, bandwidth)
         try:
             strategy_obj = STRATEGY_BUILDERS[strategy](scenario, **(params or {}))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ProtocolError("bad_params", f"{strategy}: {exc}")
         radio = RadioInterface(
             power_model if power_model is not None else GALAXY_S4_3G, bandwidth

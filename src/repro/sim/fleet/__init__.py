@@ -33,10 +33,10 @@ from repro.sim.fleet.aggregate import FleetChunkSummary
 from repro.sim.fleet.channel import ChannelTable, SharedChannel
 from repro.sim.fleet.engine import simulate_fleet_chunk
 from repro.sim.fleet.reference import simulate_reference_chunk
-from repro.sim.fleet.registry import vector_strategies
 from repro.sim.fleet.runner import FleetRunResult, run_fleet
 from repro.sim.fleet.spec import FleetChunkSpec, FleetSpec, fleet_supports
 from repro.sim.fleet.workload import FleetWorkload, synthesize_fleet
+from repro.sim.parallel.specs import vector_strategies
 
 __all__ = [
     "ChannelTable",

@@ -1224,15 +1224,11 @@ def simulate_fleet_chunk(
 ) -> FleetChunkRaw:
     """Simulate one chunk of devices under a vectorized strategy.
 
-    The strategy name is resolved through the kernel registry
-    (:mod:`repro.sim.fleet.registry`); ``params`` mirrors the scalar
-    strategy builders' keyword arguments: ``etrain`` takes ``theta``
-    (default 0.2) and ``warm_gate`` (default True); ``periodic`` and
-    ``fixed_batch`` take ``period`` (default 60.0); ``tailender`` takes
-    ``slack`` (default 0.0); ``peres`` takes ``omega``/``v_init`` plus
-    the estimator knobs; ``etime`` takes ``v`` plus the estimator
-    knobs; ``adaptive`` takes ``target_delay``/``theta_init``/
-    ``window``/``warm_gate``; ``immediate`` takes none.
+    The kernel and its arguments come from the strategy registry
+    (:func:`repro.sim.parallel.specs.fleet_kernel`): ``params`` are the
+    scalar builder's keyword arguments, checked and completed with the
+    builder's defaults there.  A configuration that rule leaves to the
+    scalar engine raises ``ValueError``.
 
     ``recorder`` optionally receives the chunk's event trace (one
     ``fleet_chunk`` summary plus a ``fleet_burst`` event per burst row)
@@ -1241,7 +1237,18 @@ def simulate_fleet_chunk(
     (:class:`repro.obs.profiling.PhaseProfiler`).  The simulation
     itself is identical with or without either.
     """
-    raw = _dispatch_fleet_chunk(workload, table, strategy, params, power_model, profiler)
+    from repro.sim.parallel.specs import STRATEGIES, fleet_kernel
+
+    found = None
+    if strategy in STRATEGIES:
+        found = fleet_kernel(strategy, params, power_model=power_model)
+    if found is None:
+        raise ValueError(
+            f"no vectorized path for strategy {strategy!r} with params "
+            f"{params or {}} on this power model (use the scalar fallback)"
+        )
+    kernel, kwargs = found
+    raw = kernel(workload, table, power_model, profiler=profiler, **kwargs)
     if recorder is not None:
         from repro.obs.tracer import emit_fleet_chunk_trace
 
@@ -1257,33 +1264,8 @@ def simulate_fleet_chunk(
     return raw
 
 
-def _dispatch_fleet_chunk(
-    workload: FleetWorkload,
-    table: ChannelTable,
-    strategy: str,
-    params: Optional[Dict],
-    power_model: PowerModel,
-    profiler=None,
-) -> FleetChunkRaw:
-    from repro.sim.fleet import registry
-
-    try:
-        kernel = registry.get_kernel(strategy)
-    except KeyError:
-        raise ValueError(
-            f"no vectorized path for strategy {strategy!r}; "
-            f"supported: {registry.vector_strategies()} (use the scalar fallback)"
-        ) from None
-    if power_model.promotion_delay != 0.0 or power_model.promotion_energy != 0.0:
-        raise ValueError(
-            "fleet path models promotion-free radios only "
-            "(promotion_delay == promotion_energy == 0)"
-        )
-    return kernel(workload, table, dict(params or {}), power_model, profiler=profiler)
-
-
 # ---------------------------------------------------------------------------
-# the engine-owned kernels (see repro.sim.fleet.registry for the others)
+# the engine-owned kernels (the strategy registry names the others)
 # ---------------------------------------------------------------------------
 
 
@@ -1293,15 +1275,8 @@ def fleet_slot_count(horizon: float) -> int:
 
 
 def _etrain_kernel(
-    workload: FleetWorkload, table, params: Dict, power_model, *, profiler=None
+    workload: FleetWorkload, table, power_model, *, profiler=None, theta, warm_gate
 ) -> FleetChunkRaw:
-    theta = float(params.pop("theta", 0.2))
-    warm_gate = bool(params.pop("warm_gate", True))
-    if params.pop("k", None) is not None:
-        raise ValueError("fleet etrain supports only k=None (full drain)")
-    if float(params.pop("slot", 1.0)) != 1.0:
-        raise ValueError("fleet etrain supports only slot=1.0")
-    _reject_extra(params)
     if np.any(workload.deadlines < 2.0):
         raise ValueError("fleet etrain requires all deadlines >= 2 s")
     n_slots = fleet_slot_count(workload.horizon)
@@ -1315,17 +1290,16 @@ def _etrain_kernel(
         pk_size,
         base,
         n_slots,
-        theta,
-        warm_gate,
+        float(theta),
+        bool(warm_gate),
         power_model,
         profiler=profiler,
     )
 
 
 def _immediate_kernel(
-    workload: FleetWorkload, table, params: Dict, power_model, *, profiler=None
+    workload: FleetWorkload, table, power_model, *, profiler=None
 ) -> FleetChunkRaw:
-    _reject_extra(params)
     n_slots = fleet_slot_count(workload.horizon)
     pk_app, pk_dev, pk_arr, pk_size, _ = _flat_packets(workload)
     release = _delivery_slots(pk_arr, n_slots)
@@ -1335,43 +1309,39 @@ def _immediate_kernel(
 
 
 def _periodic_kernel(
-    workload: FleetWorkload, table, params: Dict, power_model, *, profiler=None
+    workload: FleetWorkload, table, power_model, *, profiler=None, period
 ) -> FleetChunkRaw:
-    period = float(params.pop("period", 60.0))
-    _reject_extra(params)
+    """Releases on the shared wall-clock fire clock of ``period`` seconds.
+
+    The clock is the same for every device, so a packet's release slot
+    is the first fire slot at or after its delivery slot.
+    ``arrival_wakes=False`` plus whole-queue releases make the loop-free
+    burst builder valid verbatim.
+    """
     n_slots = fleet_slot_count(workload.horizon)
     pk_app, pk_dev, pk_arr, pk_size, _ = _flat_packets(workload)
-    release = _periodic_release_slots(pk_arr, n_slots, period)
+    release = _periodic_release_slots(pk_arr, n_slots, float(period))
     return _build_loopfree(
         workload, table, release, pk_app, pk_dev, pk_arr, pk_size, n_slots
     )
 
 
 def _periodic_release_slots(pk_arr, n_slots: int, period: float) -> np.ndarray:
-    """Release slot per packet under the shared periodic fire clock."""
-    fires = _periodic_fires(n_slots, period)
-    kd = _delivery_slots(pk_arr, n_slots)
-    pos = np.searchsorted(fires, kd)
-    return np.where(
-        pos < fires.size, fires[np.minimum(pos, max(fires.size - 1, 0))], n_slots
-    )
+    """Release slot per packet under the shared periodic fire clock:
+    the first fire at or after delivery, else ``n_slots`` (the flush)."""
+    fires = np.append(_periodic_fires(n_slots, period), n_slots)
+    return fires[np.searchsorted(fires, _delivery_slots(pk_arr, n_slots))]
 
 
 def _tailender_kernel(
-    workload: FleetWorkload, table, params: Dict, power_model, *, profiler=None
+    workload: FleetWorkload, table, power_model, *, profiler=None, slack
 ) -> FleetChunkRaw:
-    slack = float(params.pop("slack", 0.0))
-    _reject_extra(params)
     n_slots = fleet_slot_count(workload.horizon)
     pk_app, pk_dev, pk_arr, pk_size, _ = _flat_packets(workload)
     release = _release_slots_tailender(
-        workload, pk_app, pk_dev, pk_arr, n_slots, slack
+        workload, pk_app, pk_dev, pk_arr, n_slots, float(slack)
     )
     return _build_loopfree(
         workload, table, release, pk_app, pk_dev, pk_arr, pk_size, n_slots
     )
 
-
-def _reject_extra(params: Dict) -> None:
-    if params:
-        raise ValueError(f"unsupported fleet strategy params: {sorted(params)}")

@@ -22,8 +22,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.sim.fleet.registry import has_kernel
-
 __all__ = ["FLEET_CACHE_VERSION", "FleetSpec", "FleetChunkSpec", "fleet_supports"]
 
 #: Bumped whenever fleet-path changes may shift summary numbers.
@@ -46,25 +44,19 @@ def fleet_supports(
 ) -> bool:
     """Whether the vectorized engine covers this configuration.
 
-    False means :meth:`FleetChunkSpec.run_in_worker` transparently falls
-    back to the per-device scalar engine (same summaries, scalar speed).
+    The registry's coverage rule (:func:`repro.sim.parallel.specs.fleet_kernel`)
+    over a known bandwidth.  False means :meth:`FleetChunkSpec.run_in_worker`
+    transparently falls back to the per-device scalar engine (same
+    summaries, scalar speed).
     """
-    from repro.sim.parallel.specs import POWER_MODELS
+    from repro.sim.parallel.specs import POWER_MODELS, fleet_kernel
 
-    if not has_kernel(strategy):
-        return False
-    if bandwidth not in _BANDWIDTHS:
-        return False
     pm = POWER_MODELS.get(power_model)
-    if pm is None or pm.promotion_delay != 0.0 or pm.promotion_energy != 0.0:
-        return False
-    params = dict(params or {})
-    if strategy == "etrain":
-        if params.get("k") is not None:
-            return False
-        if float(params.get("slot", 1.0)) != 1.0:
-            return False
-    return True
+    return (
+        bandwidth in _BANDWIDTHS
+        and pm is not None
+        and fleet_kernel(strategy, params, power_model=pm) is not None
+    )
 
 
 @dataclass(frozen=True)
@@ -82,13 +74,9 @@ class _FleetFields:
     bandwidth_rate: Optional[float] = None  # bytes/s, for bandwidth="constant"
 
     def __post_init__(self) -> None:
-        from repro.sim.parallel.specs import POWER_MODELS, STRATEGY_BUILDERS
+        from repro.sim.parallel.specs import POWER_MODELS, bind_strategy_params
 
-        if self.strategy not in STRATEGY_BUILDERS:
-            raise KeyError(
-                f"unknown strategy {self.strategy!r}; "
-                f"known: {sorted(STRATEGY_BUILDERS)}"
-            )
+        bind_strategy_params(self.strategy, self.param_dict)
         if self.power_model not in POWER_MODELS:
             raise KeyError(f"unknown power model {self.power_model!r}")
         if self.bandwidth not in _BANDWIDTHS:

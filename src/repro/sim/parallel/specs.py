@@ -18,11 +18,13 @@ process or in a lease worker.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import importlib
 import inspect
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.radio.lte import LTE_CAT4
 from repro.radio.power_model import (
@@ -36,14 +38,20 @@ from repro.radio.wifi import WIFI_PSM
 __all__ = [
     "CACHE_VERSION",
     "POWER_MODELS",
+    "STRATEGIES",
     "STRATEGY_BUILDERS",
+    "BuildScenario",
     "ScenarioSpec",
+    "StrategyEntry",
     "StrategySpec",
     "JobSpec",
+    "bind_strategy_params",
+    "fleet_kernel",
     "power_model_name",
     "strategy_param_names",
     "run_job",
     "seed_grid",
+    "vector_strategies",
 ]
 
 #: Bumped whenever a change anywhere in the simulator may shift summary
@@ -236,12 +244,6 @@ def _build_periodic(scenario, period: float = 60.0):
     return PeriodicBatchStrategy(period=period)
 
 
-#: ``fixed_batch`` is the fleet-facing alias of ``periodic``: same
-#: strategy object, registered under the name the fleet kernel registry
-#: (and the ROADMAP perf item) uses for the naive-aggregation ablation.
-_build_fixed_batch = _build_periodic
-
-
 def _build_adaptive(
     scenario,
     target_delay: float = 30.0,
@@ -326,30 +328,160 @@ def _build_aoi_download(scenario, threshold_s: float = 120.0):
     return AoiDownloadStrategy(threshold_s=threshold_s)
 
 
-#: name → builder(scenario, **params).  Builders receive the materialised
-#: scenario because several strategies need its profiles/estimator.
-STRATEGY_BUILDERS = {
-    "immediate": _build_immediate,
-    "etrain": _build_etrain,
-    "peres": _build_peres,
-    "etime": _build_etime,
-    "channel_aware": _build_channel_aware,
-    "periodic": _build_periodic,
-    "fixed_batch": _build_fixed_batch,
-    "adaptive": _build_adaptive,
-    "tailender": _build_tailender,
-    "lazy_circuit": _build_lazy_circuit,
-    "harvest_lazy": _build_harvest_lazy,
-    "common_deadline": _build_common_deadline,
-    "aoi_download": _build_aoi_download,
+class BuildScenario:
+    """The slice of a :class:`~repro.sim.runner.Scenario` the builders touch.
+
+    Profiles plus a bandwidth model: serve sessions build their strategy
+    on one, and :func:`bind_strategy_params` builds on a default one to
+    run the strategy constructors' range checks.
+    """
+
+    def __init__(self, profiles, bandwidth) -> None:
+        self.profiles = profiles
+        self.bandwidth = bandwidth
+
+    def estimator(self, *, lag: float = 2.0, noise: float = 0.3, seed: int = 0):
+        from repro.baselines.base import BandwidthEstimator
+
+        return BandwidthEstimator(self.bandwidth, lag=lag, noise=noise, seed=seed)
+
+
+@dataclass(frozen=True)
+class StrategyEntry:
+    """One registered strategy: its scalar builder and its fleet kernel.
+
+    ``builder(scenario, **params)`` builds the scalar strategy; its
+    signature is the only home of the parameter defaults.  ``kernel`` is
+    a lazy ``"module:attr"`` reference (this module never imports NumPy)
+    to ``kernel(workload, table, power_model, *, profiler=None, **kw)``,
+    whose keyword-only ``kw`` are the builder parameters it implements;
+    ``None`` means the strategy runs the scalar engine at fleet scale.
+    """
+
+    builder: Callable[..., Any]
+    kernel: Optional[str] = None
+
+
+_ENGINE = "repro.sim.fleet.engine"
+
+#: The strategy registry: name → builder and kernel, in documentation
+#: order.  ``fixed_batch`` is the fleet-facing alias of ``periodic``
+#: (the naive-aggregation ablation): same builder, same kernel.
+STRATEGIES: Dict[str, StrategyEntry] = {
+    "immediate": StrategyEntry(_build_immediate, f"{_ENGINE}:_immediate_kernel"),
+    "etrain": StrategyEntry(_build_etrain, f"{_ENGINE}:_etrain_kernel"),
+    "peres": StrategyEntry(_build_peres, "repro.baselines.peres:peres_fleet_kernel"),
+    "etime": StrategyEntry(_build_etime, "repro.baselines.etime:etime_fleet_kernel"),
+    "channel_aware": StrategyEntry(
+        _build_channel_aware,
+        "repro.baselines.channel_aware:channel_aware_fleet_kernel",
+    ),
+    "periodic": StrategyEntry(_build_periodic, f"{_ENGINE}:_periodic_kernel"),
+    "fixed_batch": StrategyEntry(_build_periodic, f"{_ENGINE}:_periodic_kernel"),
+    "adaptive": StrategyEntry(
+        _build_adaptive, "repro.baselines.adaptive:adaptive_fleet_kernel"
+    ),
+    "tailender": StrategyEntry(_build_tailender, f"{_ENGINE}:_tailender_kernel"),
+    "lazy_circuit": StrategyEntry(_build_lazy_circuit),
+    "harvest_lazy": StrategyEntry(_build_harvest_lazy),
+    "common_deadline": StrategyEntry(_build_common_deadline),
+    "aoi_download": StrategyEntry(_build_aoi_download),
 }
+
+#: name → builder(scenario, **params), a view of :data:`STRATEGIES`.
+#: Builders receive the materialised scenario because several
+#: strategies need its profiles/estimator.
+STRATEGY_BUILDERS = {name: entry.builder for name, entry in STRATEGIES.items()}
+
+
+def vector_strategies() -> Tuple[str, ...]:
+    """Names of the strategies with a fleet kernel, in registry order."""
+    return tuple(name for name, entry in STRATEGIES.items() if entry.kernel)
+
+
+@functools.lru_cache(maxsize=None)
+def _builder_defaults(name: str) -> Dict[str, Any]:
+    if name not in STRATEGIES:
+        raise KeyError(f"unknown strategy {name!r}; known: {sorted(STRATEGIES)}")
+    params = list(inspect.signature(STRATEGIES[name].builder).parameters.values())
+    return {p.name: p.default for p in params[1:]}  # drop `scenario`
 
 
 def strategy_param_names(name: str) -> Tuple[str, ...]:
     """Tunable parameter names a registered strategy accepts."""
-    builder = STRATEGY_BUILDERS[name]
-    params = list(inspect.signature(builder).parameters)[1:]  # drop `scenario`
-    return tuple(params)
+    return tuple(_builder_defaults(name))
+
+
+@functools.lru_cache(maxsize=1)
+def _stand_in() -> BuildScenario:
+    from repro.bandwidth.models import ConstantBandwidth
+    from repro.core.profiles import DEFAULT_CARGO_PROFILES
+
+    return BuildScenario(DEFAULT_CARGO_PROFILES(), ConstantBandwidth(rate=1.0))
+
+
+def bind_strategy_params(
+    name: str, params: Optional[Mapping[str, Any]] = None
+) -> Dict[str, Any]:
+    """Every builder parameter of ``name``: ``params`` over the defaults.
+
+    The one check of user-supplied strategy params, run wherever a spec
+    is made (``StrategySpec``, fleet specs, serve ``batch``).  An unknown
+    strategy raises ``KeyError``, an unknown param ``ValueError``; the
+    strategy is then built once on a stand-in scenario, so every range
+    check of its constructor raises ``ValueError`` here, not in a worker.
+    """
+    defaults = _builder_defaults(name)
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(
+            f"strategy {name!r} does not accept {unknown}; "
+            f"accepted: {sorted(defaults)}"
+        )
+    bound = {**defaults, **params}
+    try:
+        STRATEGIES[name].builder(_stand_in(), **bound)
+    except TypeError as exc:
+        raise ValueError(f"strategy {name!r}: {exc}") from None
+    return bound
+
+
+@functools.lru_cache(maxsize=None)
+def _resolve_kernel(ref: str) -> Tuple[Callable[..., Any], Tuple[str, ...]]:
+    module, _, attr = ref.partition(":")
+    kernel = getattr(importlib.import_module(module), attr)
+    takes = tuple(
+        p.name
+        for p in inspect.signature(kernel).parameters.values()
+        if p.kind is inspect.Parameter.KEYWORD_ONLY and p.name != "profiler"
+    )
+    return kernel, takes
+
+
+def fleet_kernel(
+    name: str,
+    params: Optional[Mapping[str, Any]] = None,
+    *,
+    power_model: PowerModel = GALAXY_S4_3G,
+) -> Optional[Tuple[Callable[..., Any], Dict[str, Any]]]:
+    """The fleet kernel and its keyword arguments, or None for scalar-only.
+
+    The one coverage rule of the fleet and serve paths: a configuration
+    is vectorized when the strategy has a kernel, the power model is
+    promotion-free, and every bound param the kernel does not take
+    equals the builder's default.  Params are checked as in
+    :func:`bind_strategy_params`.
+    """
+    bound = bind_strategy_params(name, params)
+    ref = STRATEGIES[name].kernel
+    if ref is None or power_model.promotion_delay or power_model.promotion_energy:
+        return None
+    kernel, takes = _resolve_kernel(ref)
+    defaults = _builder_defaults(name)
+    if any(bound[k] != defaults[k] for k in bound if k not in takes):
+        return None
+    return kernel, {k: bound[k] for k in takes}
 
 
 @dataclass(frozen=True)
@@ -364,17 +496,7 @@ class StrategySpec:
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.name not in STRATEGY_BUILDERS:
-            raise KeyError(
-                f"unknown strategy {self.name!r}; known: {sorted(STRATEGY_BUILDERS)}"
-            )
-        accepted = set(strategy_param_names(self.name))
-        unknown = [k for k, _ in self.params if k not in accepted]
-        if unknown:
-            raise ValueError(
-                f"strategy {self.name!r} does not accept {unknown}; "
-                f"accepted: {sorted(accepted)}"
-            )
+        bind_strategy_params(self.name, self.kwargs)
 
     @classmethod
     def make(cls, name: str, **params: Any) -> "StrategySpec":

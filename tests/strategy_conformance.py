@@ -47,6 +47,7 @@ __all__ = [
     "ALL_STRATEGIES",
     "FIXTURES",
     "FIXTURE_BY_NAME",
+    "INVALID_PARAMS",
     "StrategyFixture",
     "assert_bit_identical",
     "assert_fleet_summaries_match",
@@ -128,12 +129,32 @@ FIXTURES: Tuple[StrategyFixture, ...] = (
     ),
     StrategyFixture("periodic", _p(period=300.0)),
     StrategyFixture("peres", _p(omega=0.5)),
-    # ``default_deadline`` is scalar-only (the fleet kernel derives
-    # deadlines from the profile table), so it rides as a variant.
+    # The tailender kernel does not take ``default_deadline`` (it reads
+    # deadlines from the profile table), so this variant runs the scalar
+    # engine at fleet scale.
     StrategyFixture("tailender", variants=(_p(default_deadline=30.0),)),
 )
 
 FIXTURE_BY_NAME: Dict[str, StrategyFixture] = {f.name: f for f in FIXTURES}
+
+#: Params every path must reject, per strategy: the scalar build, the
+#: fleet spec and serve ``batch`` alike.  Out-of-range values come from
+#: the strategy constructors' own checks.
+INVALID_PARAMS: Dict[str, Tuple[Tuple[Tuple[str, object], ...], ...]] = {
+    "adaptive": (_p(target_delay=0.0), _p(window=0), _p(theta_init=-1.0)),
+    "aoi_download": (_p(threshold_s=0.0),),
+    "channel_aware": (_p(quality_threshold=0.0), _p(max_defer=-1.0)),
+    "common_deadline": (_p(round_s=0.0),),
+    "etime": (_p(v=-1.0), _p(lag=-1.0)),
+    "etrain": (_p(theta=-1.0), _p(k=0), _p(slot=0.0), _p(bogus=1)),
+    "fixed_batch": (_p(period=0),),
+    "harvest_lazy": (_p(watermark=0.0), _p(capacity_j=0.0)),
+    "immediate": (_p(bogus=1),),
+    "lazy_circuit": (_p(target_batch_bytes=0), _p(default_deadline=0.0)),
+    "periodic": (_p(period=0), _p(period=-5.0)),
+    "peres": (_p(omega=-1.0), _p(v_init=0.0), _p(noise=-1.0)),
+    "tailender": (_p(slack=-1.0), _p(default_deadline=0.0)),
+}
 
 
 def build_strategy(

@@ -135,9 +135,8 @@ class TestFleetCommand:
         assert "periodic" in capsys.readouterr().out
 
     def test_scalar_fallback_strategy(self, capsys):
-        # Every strategy now has a vectorized kernel (channel_aware was
-        # the last, ISSUE 8); configurations outside the engine's
-        # assumptions (etrain with a k-limited drain) still fall back.
+        # A configuration the coverage rule leaves to the scalar engine
+        # (etrain with a k-limited drain) falls back.
         code = main(
             ["fleet", "--devices", "1", "--chunk-size", "1",
              "--horizon", "300", "--quiet",
@@ -163,6 +162,28 @@ class TestFleetCommand:
         code = main(["fleet", "--devices", "1", "--param", "oops"])
         assert code == 2
         assert "NAME=VALUE" in capsys.readouterr().err
+
+    @pytest.mark.strategies
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--param", "bogus=1"],
+            ["--strategy", "periodic", "--param", "period=0"],
+        ],
+    )
+    def test_invalid_strategy_params_exit_2(self, argv, capsys):
+        code = main(["fleet", "--devices", "1", "--horizon", "300", "--quiet"] + argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "invalid fleet spec" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.strategies
+    def test_sweep_rejects_invalid_strategy_params(self, capsys):
+        code = main(["sweep", "--strategies", "periodic", "--param", "period=0",
+                     "--seeds", "1", "--horizon", "60"])
+        assert code == 2
+        assert "invalid strategy params" in capsys.readouterr().err
 
     def test_invalid_spec_is_reported(self, capsys):
         code = main(["fleet", "--devices", "1", "--strategy", "etrain",

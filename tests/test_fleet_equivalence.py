@@ -30,8 +30,8 @@ from repro.sim.fleet.engine import (
     _transition_slots,
     simulate_fleet_chunk,
 )
+from repro.sim.fleet import vector_strategies
 from repro.sim.fleet.reference import simulate_reference_chunk
-from repro.sim.fleet.registry import vector_strategies
 from repro.sim.fleet.workload import synthesize_fleet
 
 #: Aggregate keys the fleet engine must reproduce from the scalar loop.
@@ -117,6 +117,13 @@ def test_fixed_seed_equivalence(strategy, params):
 def test_random_phase_equivalence(strategy):
     fleet = fleet_summary(5, 450.0, 7, strategy, phase_mode="random")
     scalar = scalar_summary(5, 450.0, 7, strategy, phase_mode="random")
+    assert_summaries_match(fleet, scalar)
+
+
+def test_periodic_horizon_shorter_than_period():
+    """No fire slot inside the horizon: everything waits for the flush."""
+    fleet = fleet_summary(3, 50.0, 1, "periodic", {"period": 60.0})
+    scalar = scalar_summary(3, 50.0, 1, "periodic", {"period": 60.0})
     assert_summaries_match(fleet, scalar)
 
 
@@ -348,16 +355,3 @@ def test_theta_crossing_matches_brute_force_scan(seed, case):
     want = _first_crossing_by_scan(step, lo, hi, theta, sums)
     np.testing.assert_array_equal(got, want)
 
-
-def test_fleet_package_lists_live_registry(monkeypatch):
-    """``repro.sim.fleet.vector_strategies`` is the registry's function,
-    so a kernel registered after import is listed (and vectorized)."""
-    import repro.sim.fleet as fleet
-    from repro.sim.fleet import registry
-
-    assert fleet.vector_strategies is registry.vector_strategies
-    monkeypatch.setattr(registry, "_KERNELS", dict(registry._KERNELS))
-    assert "late_kernel" not in fleet.vector_strategies()
-    registry.register_kernel("late_kernel", lambda *args: None)
-    assert "late_kernel" in fleet.vector_strategies()
-    assert registry.has_kernel("late_kernel")

@@ -42,7 +42,7 @@ from repro.sim.fleet.reference import (
     summarize_scalar_result,
 )
 from repro.sim.fleet.workload import synthesize_fleet
-from repro.sim.parallel.specs import STRATEGY_BUILDERS
+from repro.sim.parallel.specs import POWER_MODELS, STRATEGY_BUILDERS
 from repro.sim.runner import run_strategy
 
 pytestmark = pytest.mark.serve
@@ -265,14 +265,44 @@ class TestBatchOp:
         engine = self._engine_summary(2, "channel_aware")
         assert response["fleet"] == json.loads(json.dumps(engine.to_dict()))
 
-    def test_batch_rejects_scalar_only_strategy(self, monkeypatch):
-        """No built-in strategy is scalar-only anymore; the guard stays
-        for future strategies, exercised with a kernel deregistered."""
-        from repro.sim.fleet import registry
+    @pytest.mark.strategies
+    @pytest.mark.parametrize("power_model", sorted(POWER_MODELS))
+    def test_batch_runs_the_requested_power_model(self, power_model):
+        """The kernel runs the radio the request names, so ``batch``
+        equals ``run_fleet``; a promotion radio, which no kernel models,
+        is refused as ``run_fleet`` would fall back."""
+        from repro.sim.fleet import FleetSpec, run_fleet
 
-        monkeypatch.delitem(registry._KERNELS, "channel_aware")
+        pm = POWER_MODELS[power_model]
+        promotion = bool(pm.promotion_delay or pm.promotion_energy)
+        assert promotion == (power_model == "galaxy_s4_fast_dormancy")
         app = ServeApp(ServeConfig())
-        response = app.handle(self._batch_frame(2, strategy="channel_aware"))
+        response = app.handle(dict(self._batch_frame(4), power_model=power_model))
+        if promotion:
+            assert response["error"]["code"] == "scalar_only"
+            return
+        assert response["ok"], response
+        spec = FleetSpec.make(
+            4, "etrain", horizon=self.HORIZON, seed=self.SEED,
+            power_model=power_model, chunk_size=4,
+        )
+        fleet = run_fleet(spec).summary.to_dict()
+        assert response["fleet"] == json.loads(json.dumps(fleet))
+
+    @pytest.mark.strategies
+    def test_batch_refuses_params_outside_the_kernel(self):
+        app = ServeApp(ServeConfig())
+        frame = dict(
+            self._batch_frame(2, strategy="tailender"),
+            params={"default_deadline": 30.0},
+        )
+        assert app.handle(frame)["error"]["code"] == "scalar_only"
+
+    def test_batch_rejects_scalar_only_strategy(self):
+        """A strategy without a fleet kernel is refused, never run
+        through a hidden per-device loop."""
+        app = ServeApp(ServeConfig())
+        response = app.handle(self._batch_frame(2, strategy="lazy_circuit"))
         assert not response["ok"]
         assert response["error"]["code"] == "scalar_only"
 

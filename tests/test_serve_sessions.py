@@ -220,6 +220,12 @@ class TestSessionOrdering:
         with pytest.raises(ProtocolError):
             session.close()
 
+    @pytest.mark.parametrize("params", [{"theta": -1.0}, {"bogus": 1}])
+    def test_bad_strategy_params_are_a_protocol_error(self, params):
+        with pytest.raises(ProtocolError) as excinfo:
+            DeviceSession("d", strategy="etrain", params=params)
+        assert excinfo.value.code == "bad_params"
+
     def test_unknown_app_rejected_without_state_change(self):
         session = make_session("d")
         with pytest.raises(ProtocolError):

@@ -14,7 +14,11 @@ and a row automatically enrolls the strategy in:
    the run's summary metrics (including ``aoi_s``);
 4. **fleet-vs-scalar agreement** — the chunked fleet pipeline
    (vectorized kernel when registered, scalar fallback otherwise)
-   matches unchunked per-device scalar simulation.
+   matches unchunked per-device scalar simulation, for every variant.
+
+Plus param validation: the scalar build, the fleet spec and serve
+``batch`` accept every fixture variant and reject every row of
+``INVALID_PARAMS`` alike.
 
 Plus the last-slot regression class: a ``decision_horizon`` that stops
 promising quiet (returns a time at or before ``now``, e.g. ``0.0``) at
@@ -32,14 +36,17 @@ import pytest
 from repro.baselines.base import TransmissionStrategy
 from repro.core.packet import Packet, reset_packet_ids
 from repro.obs import verify_trace
+from repro.serve.server import ServeApp, ServeConfig
 from repro.sim.engine import Simulation
-from repro.sim.parallel.specs import STRATEGY_BUILDERS
+from repro.sim.fleet.spec import FleetSpec
+from repro.sim.parallel.specs import STRATEGY_BUILDERS, StrategySpec
 from repro.sim.runner import default_scenario
 
 from tests.strategy_conformance import (
     ALL_STRATEGIES,
     FIXTURE_BY_NAME,
     FIXTURES,
+    INVALID_PARAMS,
     assert_bit_identical,
     assert_fleet_summaries_match,
     build_strategy,
@@ -134,14 +141,61 @@ class TestFleetMatchesScalar:
 
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_chunked_fleet_matches_per_device_scalar(self, name):
-        params = FIXTURE_BY_NAME[name].param_dict
-        fleet, scalar, vectorized = fleet_vs_scalar(name, params)
-        # Scalar fallback chunks run the very engine the reference does,
-        # so only merge-order float re-association may differ; vectorized
-        # kernels get the fleet suite's standing tolerance.
-        assert_fleet_summaries_match(
-            fleet, scalar, rtol=1e-6 if vectorized else 1e-12
-        )
+        for params in FIXTURE_BY_NAME[name].variant_dicts():
+            fleet, scalar, vectorized = fleet_vs_scalar(name, params)
+            # Scalar fallback chunks run the very engine the reference
+            # does, so only merge-order float re-association may differ;
+            # vectorized kernels get the fleet suite's standing tolerance.
+            assert_fleet_summaries_match(
+                fleet, scalar, rtol=1e-6 if vectorized else 1e-12
+            )
+
+
+def _rejections(name, params):
+    """Whether the scalar build, the fleet spec and serve ``batch`` each
+    reject ``params`` (``scalar_only`` is a refusal, not a rejection)."""
+    try:
+        StrategySpec.make(name, **params).build(default_scenario(horizon=60.0))
+        scalar = False
+    except ValueError:
+        scalar = True
+    try:
+        FleetSpec.make(4, name, params=params)
+        fleet = False
+    except ValueError:
+        fleet = True
+    response = ServeApp(ServeConfig()).handle(
+        {"op": "batch", "strategy": name, "params": params, "devices": 1,
+         "horizon": 60.0}
+    )
+    serve = not response["ok"] and response["error"]["code"] != "scalar_only"
+    return scalar, fleet, serve
+
+
+_VALIDATION_CASES = [
+    (name, dict(params), True)
+    for name, rows in sorted(INVALID_PARAMS.items())
+    for params in rows
+] + [
+    (fixture.name, params, False)
+    for fixture in FIXTURES
+    for params in fixture.variant_dicts()
+]
+
+
+class TestParamValidation:
+    """One check of user params: every path accepts or rejects alike."""
+
+    def test_table_covers_the_registry(self):
+        assert sorted(INVALID_PARAMS) == ALL_STRATEGIES
+
+    @pytest.mark.parametrize(
+        "name,params,invalid",
+        _VALIDATION_CASES,
+        ids=[f"{n}-{p}" for n, p, _ in _VALIDATION_CASES],
+    )
+    def test_scalar_fleet_and_serve_agree(self, name, params, invalid):
+        assert _rejections(name, params) == (invalid, invalid, invalid)
 
 
 class LastSlotZeroHorizon(TransmissionStrategy):
