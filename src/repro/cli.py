@@ -678,6 +678,11 @@ def run_record_command(argv: List[str]) -> int:
             return 2
         key, _, value = item.partition("=")
         params[key.strip()] = _parse_param_value(value)
+    try:
+        spec = StrategySpec.make(args.strategy, **params)
+    except ValueError as exc:
+        print(f"invalid strategy params: {exc}", file=sys.stderr)
+        return 2
 
     scenario = ScenarioSpec(
         seed=args.seed,
@@ -685,7 +690,7 @@ def run_record_command(argv: List[str]) -> int:
         rate=args.rate,
         power_model=args.power_model,
     ).build()
-    strategy = StrategySpec.make(args.strategy, **params).build(scenario)
+    strategy = spec.build(scenario)
     with metrics_scope() as registry, JsonlRecorder(args.trace_out) as recorder:
         sim = Simulation(
             strategy,

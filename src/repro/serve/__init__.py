@@ -3,11 +3,11 @@
 The batch simulator answers "what would eTrain have done over this 2 h
 trace"; this package answers it *online* — per-device event streams
 (heartbeat observations, cargo arrivals) arrive over newline-delimited
-JSON TCP and piggyback decisions stream back in real time, produced by
-the exact decision kernel the simulator runs (:mod:`repro.sim.decision`).
-Because the kernel is shared, the dense/event/fleet equivalence oracles
-transitively certify the server: replaying a fleet workload through
-``etrain serve`` is bit-identical to the batch run.
+JSON TCP and piggyback decisions stream back in real time.  Each
+device session drives one resumable :class:`repro.sim.engine.Simulation`
+— the batch engine itself, fed event by event — so replaying a fleet
+workload through ``etrain serve`` is bit-identical to the batch run, and
+the dense/event/fleet equivalence oracles certify the server.
 
 Modules
 -------

@@ -219,7 +219,7 @@ class ServeApp:
             "strategy": strategy,
             "horizon": session.horizon,
             "slot": session.slot,
-            "n_slots": session.n_slots,
+            "n_slots": session.sim.n_slots,
         }
         if evicted is not None:
             response["evicted"] = evicted
@@ -256,7 +256,7 @@ class ServeApp:
             "t": session._watermark,
             "decisions": decisions,
             "tx": [tx_to_wire(r) for r in txs],
-            "held": len(session.state.held),
+            "held": len(session.sim.held),
         }
 
     def _close(self, request: Dict) -> Dict:
@@ -287,7 +287,7 @@ class ServeApp:
         kernel call.
         """
         from repro.sim.fleet.spec import fleet_supports
-        from repro.sim.parallel.specs import STRATEGY_BUILDERS
+        from repro.sim.parallel.specs import STRATEGY_BUILDERS, bind_strategy_params
 
         strategy = request.get("strategy", "etrain")
         if not isinstance(strategy, str) or strategy not in STRATEGY_BUILDERS:
@@ -300,18 +300,18 @@ class ServeApp:
             raise ProtocolError(
                 "bad_request", f"params must be an object, got {params!r}"
             )
-        power_name = request.get("power_model")
+        power_name = request.get("power_model") or "galaxy_s4_3g"
         self._power_model(power_name)  # validates the name
         bw_spec = request.get("bandwidth")
         if bw_spec is None:
             bw_spec = {"kind": self.config.default_bandwidth}
         self._bandwidth(bw_spec)  # validates the spec
         try:
+            # Bound over the defaults, so equal configurations spelled
+            # differently share a key and coalesce.
+            params = bind_strategy_params(strategy, params)
             vectorized = fleet_supports(
-                strategy,
-                params,
-                power_model=power_name or "galaxy_s4_3g",
-                bandwidth=bw_spec["kind"],
+                strategy, params, power_model=power_name, bandwidth=bw_spec["kind"]
             )
         except ValueError as exc:
             raise ProtocolError("bad_params", str(exc))
@@ -321,10 +321,6 @@ class ServeApp:
                 f"strategy {strategy!r} with these params and power model "
                 "has no vectorized fleet kernel; open per-device sessions instead",
             )
-        try:
-            params_key = json.dumps(params, sort_keys=True, separators=(",", ":"))
-        except (TypeError, ValueError):
-            raise ProtocolError("bad_request", "params must be JSON-serializable")
         devices = self._int(request, "devices", None, minimum=1)
         if devices > self.config.batch_devices_max:
             raise ProtocolError(
@@ -338,6 +334,7 @@ class ServeApp:
         if horizon <= 0:
             raise ProtocolError("bad_request", f"horizon must be > 0, got {horizon}")
         seed = self._int(request, "seed", 0, minimum=0)
+        params_key = tuple(sorted(params.items()))
         bw_key = json.dumps(bw_spec, sort_keys=True, separators=(",", ":"))
         return {
             "request": request,
@@ -393,7 +390,7 @@ class ServeApp:
             device_offset=base["offset"],
         )
         table = self._channel_table(base["bw_spec"], base["horizon"])
-        pm = self._power_model(base["power_model"] or "galaxy_s4_3g")
+        pm = self._power_model(base["power_model"])
         raw = simulate_fleet_chunk(
             workload,
             table,

@@ -1,17 +1,15 @@
 """Per-device scheduling sessions and the O(1) session store.
 
-A :class:`DeviceSession` is the online counterpart of one scalar
-:class:`repro.sim.engine.Simulation`: it consumes heartbeat/cargo
-observations with non-decreasing timestamps and lazily replays the
-dense slot loop through the shared kernel
-(:func:`repro.sim.decision.advance`).  A slot is *finalized* — its
-decision made and its bursts emitted — as soon as an observed event
-time proves the slot can receive no further inputs (every event in
-slot ``j`` has time below the slot end, so an event at or past the end
-closes it).  Closing the session runs the remaining slots and the
-engine's exact flush-at-end step, so the finished session's
-:class:`~repro.sim.results.SimulationResult` is bit-identical to the
-batch run over the same events.
+A :class:`DeviceSession` is a thin protocol wrapper around one
+resumable :class:`repro.sim.engine.Simulation` — the loop the batch run
+of the same strategy uses.  The session checks each observation (closed
+session, non-decreasing time, horizon, declared apps), feeds it to the
+engine and finalizes every slot whose end is at or before the event
+time: a later event cannot land in such a slot.  Closing the session
+runs the engine's own finish step, so the finished session's
+:class:`~repro.sim.results.SimulationResult` is the batch run's, bit for
+bit.  Heartbeats sharing a timestamp must arrive in ``(app, seq)``
+order, as the batch run merges them (``out_of_order`` otherwise).
 
 Packet ids are session-local and sequential in arrival order, matching
 the fleet reference path (``_device_scenario`` resets the global
@@ -27,16 +25,15 @@ the packets are transmitted or the client closes it.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bandwidth.models import BandwidthModel
 from repro.core.packet import Heartbeat, Packet, TransmissionRecord
 from repro.core.profiles import CargoAppProfile
-from repro.radio.interface import RadioInterface
 from repro.radio.power_model import GALAXY_S4_3G, PowerModel
 from repro.serve.protocol import ProtocolError
-from repro.sim.decision import DecisionState, SlotEvent, advance
+from repro.sim.engine import Simulation
 from repro.sim.fleet.workload import COST_KINDS
 from repro.sim.results import SimulationResult
 
@@ -110,7 +107,6 @@ class DeviceSession:
 
             profiles = DEFAULT_CARGO_PROFILES()
         self.device = device
-        self.strategy_name = strategy
         self.profiles = list(profiles)
         self.horizon = float(horizon)
         self.slot = float(slot)
@@ -119,37 +115,29 @@ class DeviceSession:
             strategy_obj = STRATEGY_BUILDERS[strategy](scenario, **(params or {}))
         except (TypeError, ValueError) as exc:
             raise ProtocolError("bad_params", f"{strategy}: {exc}")
-        radio = RadioInterface(
-            power_model if power_model is not None else GALAXY_S4_3G, bandwidth
-        )
-        self.state = DecisionState(
-            strategy=strategy_obj,
-            radio=radio,
+        self.sim = Simulation(
+            strategy_obj,
+            (),
+            (),
+            power_model=power_model if power_model is not None else GALAXY_S4_3G,
+            bandwidth=bandwidth,
+            horizon=self.horizon,
             slot=self.slot,
-            granularity=max(strategy_obj.slot, self.slot),
-            warm_window=radio.power_model.tail_time,
-            # Strategies owning a harvesting battery (harvest_lazy) gate
-            # standalone bursts on it — same pickup as the batch engine.
-            battery=getattr(strategy_obj, "battery", None),
         )
-        self.n_slots = int(math.ceil(self.horizon / self.slot))
-        self.cursor = 0  # next slot index awaiting finalization
         self.closed = False
-        self.events = 0
-        self._arrivals: Deque[Packet] = deque()
-        self._hbs: Deque[Heartbeat] = deque()
         self._app_ids = {p.app_id for p in self.profiles}
         self._next_packet_id = 0
         self._watermark = 0.0  # highest event time observed
-        self.packets: List[Packet] = []
-        self.heartbeats: List[Heartbeat] = []
 
-    # -- admission-control bookkeeping ---------------------------------
+    @property
+    def packets(self) -> List[Packet]:
+        """Cargo observed so far, in arrival order."""
+        return self.sim.packets
 
     @property
     def pending_cargo(self) -> int:
         """Cargo the session still owes the radio (buffered + queued + Q_TX)."""
-        return len(self._arrivals) + self.state.pending_cargo
+        return self.sim.pending_cargo
 
     # -- event intake --------------------------------------------------
 
@@ -160,6 +148,8 @@ class DeviceSession:
             t = float(t)
         except (TypeError, ValueError):
             raise ProtocolError("bad_event", f"event time must be a number, got {t!r}")
+        if math.isnan(t):
+            raise ProtocolError("bad_event", "event time must not be NaN")
         if t < self._watermark:
             raise ProtocolError(
                 "out_of_order",
@@ -198,9 +188,7 @@ class DeviceSession:
         except (TypeError, ValueError) as exc:
             raise ProtocolError("bad_event", str(exc))
         self._next_packet_id += 1
-        self._arrivals.append(packet)
-        self.packets.append(packet)
-        self.events += 1
+        self.sim.feed_packets((packet,))
         return self._advance_until(t)
 
     def on_heartbeat(
@@ -212,53 +200,25 @@ class DeviceSession:
             hb = Heartbeat(app_id=app, seq=int(seq), time=t, size_bytes=int(size))
         except (TypeError, ValueError) as exc:
             raise ProtocolError("bad_event", str(exc))
-        self._hbs.append(hb)
-        self.events += 1
+        try:
+            self.sim.feed_heartbeats((hb,))
+        except TypeError as exc:  # an app id that does not order
+            raise ProtocolError("bad_event", str(exc))
+        except ValueError as exc:  # same time, smaller (app, seq)
+            raise ProtocolError("out_of_order", str(exc))
         return self._advance_until(t)
-
-    # -- the lazy dense replay -----------------------------------------
 
     def _advance_until(self, limit: float) -> Tuple[List[TransmissionRecord], int]:
         """Finalize every slot whose end is at or before ``limit``.
 
-        The slot body is :func:`repro.sim.decision.advance` — the same
-        kernel both engine loops run — fed the exact inputs the dense
-        loop would assemble: arrivals with ``arrival_time <= t`` in
-        arrival order, this slot's heartbeats in (time, app, seq) order.
+        Sound because event times never decrease: any later input has
+        ``t >= limit``, so it lands in a slot the engine has not
+        finalized yet.
         """
-        state = self.state
-        s = self.slot
-        horizon = self.horizon
-        arrivals = self._arrivals
-        hbs = self._hbs
-        txs: List[TransmissionRecord] = []
-        dec0 = state.decisions
-        while self.cursor < self.n_slots:
-            t = self.cursor * s
-            slot_end = t + s
-            if slot_end > horizon:
-                slot_end = horizon
-            if slot_end > limit:
-                break
-            due: Tuple[Packet, ...] = ()
-            if arrivals and arrivals[0].arrival_time <= t:
-                batch = []
-                while arrivals and arrivals[0].arrival_time <= t:
-                    batch.append(arrivals.popleft())
-                due = tuple(batch)
-            slot_hbs: Tuple[Heartbeat, ...] = ()
-            if hbs and hbs[0].time < slot_end:
-                hb_batch = []
-                while hbs and hbs[0].time < slot_end:
-                    hb_batch.append(hbs.popleft())
-                hb_batch.sort(key=lambda h: (h.time, h.app_id, h.seq))
-                self.heartbeats.extend(hb_batch)
-                slot_hbs = tuple(hb_batch)
-            outcome = advance(state, SlotEvent(t, due, slot_hbs))
-            if outcome.transmissions:
-                txs.extend(outcome.transmissions)
-            self.cursor += 1
-        return txs, state.decisions - dec0
+        sim = self.sim
+        n0, d0 = len(sim.radio.records), sim.decisions
+        sim.advance(limit)
+        return sim.radio.records[n0:], sim.decisions - d0
 
     # -- end of session ------------------------------------------------
 
@@ -270,31 +230,11 @@ class DeviceSession:
         """
         if self.closed:
             raise ProtocolError("session_closed", f"{self.device} already closed")
-        txs, decisions = self._advance_until(float("inf"))
-        state = self.state
-        strategy = state.strategy
-        # Deliver any arrivals past the last slot boundary, then flush —
-        # in lockstep with Simulation.run's flush_at_end block.
-        while self._arrivals:
-            strategy.on_arrival(self._arrivals.popleft(), self.horizon)
-        leftovers = state.held + strategy.flush(self.horizon)
-        n_before = len(state.radio.records)
-        if leftovers:
-            state.radio.transmit_packets(self.horizon, leftovers)
-        state.held = []
-        txs.extend(state.radio.records[n_before:])
+        sim = self.sim
+        n0, d0 = len(sim.radio.records), sim.decisions
+        result = sim.finish()
         self.closed = True
-        result = SimulationResult(
-            strategy_name=strategy.name,
-            horizon=self.horizon,
-            records=list(state.radio.records),
-            packets=list(self.packets),
-            heartbeats=list(self.heartbeats),
-            energy=state.radio.energy_breakdown(),
-            flushed_packets=len(leftovers),
-            decisions=state.decisions,
-        )
-        return result, txs, decisions
+        return result, sim.radio.records[n0:], result.decisions - d0
 
 
 class SessionStore:

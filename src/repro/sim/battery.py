@@ -12,7 +12,9 @@ energy-harvesting scheduling literature assumes (Bacinoglu &
 Uysal-Biyikoglu, arXiv:1312.4798): charge accrues over time from a
 seeded, piecewise-constant harvest process, standalone data bursts drain
 it, and a burst the store cannot afford waits.  The engine threads it
-through :func:`repro.sim.decision.slot_step`; see ``docs/fidelity.md``.
+through :func:`repro.sim.decision.slot_step`, so batch runs, serve
+sessions and the fleet scalar fallback gate alike; see
+``docs/fidelity.md``.
 """
 
 from __future__ import annotations

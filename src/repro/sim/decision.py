@@ -1,49 +1,31 @@
-"""The per-slot decision kernel, shared by simulator and server.
+"""The per-slot decision kernel of both engine loops.
 
 `repro.sim.engine` has two loops (dense reference and event-horizon)
-whose per-slot decision/transmit body must stay bit-identical; the
-online serving layer (`repro.serve`) must execute *the same* body so
-the batch-vs-server equivalence is a property of shared code rather
-than of two parallel implementations.  This module is that body:
+whose per-slot decision/transmit body must stay bit-identical.  This
+module is that body:
 
 * :func:`is_decision_slot` — the decision-granularity predicate, exact
   float semantics shared by every caller;
 * :func:`slot_step` — one slot's decide + transmit step (steps 3 and 4
   of the engine's slot body), mutating the strategy/radio/held triple
-  exactly as the dense loop always has;
-* :class:`DecisionState` / :class:`SlotEvent` /
-  :func:`advance` / :func:`decide` — an event-level API over the same
-  kernel.  ``advance`` applies one slot's worth of events in place (the
-  server's hot path); ``decide`` is its pure counterpart — it clones
-  the state first, so the same ``(state, event)`` pair always yields
-  the same decision and never aliases or mutates the caller's state.
+  exactly as the dense loop always has.
 
-Because both engine loops call :func:`slot_step`, the existing
-dense/event/fleet equivalence oracles transitively certify anything
-else built on it.
+The online serving layer (`repro.serve`) runs no slot body of its own:
+each device session drives a resumable
+:class:`~repro.sim.engine.Simulation`, so the dense/event/fleet
+equivalence oracles certify it through the same code.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.baselines.base import TransmissionStrategy
-from repro.core.packet import Heartbeat, Packet, TransmissionRecord
+from repro.core.packet import Heartbeat, Packet
 from repro.radio.interface import RadioInterface
 
-__all__ = [
-    "is_decision_slot",
-    "slot_step",
-    "DecisionState",
-    "SlotEvent",
-    "DecisionOutcome",
-    "advance",
-    "decide",
-    "clone_state",
-]
+__all__ = ["is_decision_slot", "slot_step"]
 
 
 def is_decision_slot(t: float, slot: float, granularity: float) -> bool:
@@ -116,132 +98,3 @@ def slot_step(
                 else:
                     radio.transmit_packets(t, payload)
     return held
-
-
-# ---------------------------------------------------------------------------
-# Event-level API over the kernel
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DecisionState:
-    """Everything one device's scheduler carries between slots.
-
-    The strategy and radio are the live objects the kernel mutates;
-    ``held`` is the Q_TX content awaiting radio resource.  ``slot`` and
-    ``granularity`` fix the slot geometry (``granularity`` must already
-    be ``max(strategy.slot, slot)``); ``decisions`` counts strategy
-    decisions exactly as ``SimulationResult.decisions`` does.
-    """
-
-    strategy: TransmissionStrategy
-    radio: RadioInterface
-    slot: float
-    granularity: float
-    warm_window: float
-    held: List[Packet] = field(default_factory=list)
-    decisions: int = 0
-    #: Optional :class:`~repro.sim.battery.HarvestingBattery` gating
-    #: standalone bursts (shared with the strategy when it owns one).
-    battery: Optional[object] = None
-
-    @property
-    def pending_cargo(self) -> int:
-        """Packets the scheduler still owes the radio (queue + Q_TX)."""
-        return self.strategy.pending_count + len(self.held)
-
-
-@dataclass(frozen=True)
-class SlotEvent:
-    """One slot's inputs: start time, arrivals due, heartbeats departing.
-
-    ``arrivals`` must be the packets the dense loop would deliver at
-    this slot boundary (arrival_time <= t, in (arrival_time, packet_id)
-    order); ``heartbeats`` the slot's departures in
-    (time, app_id, seq) order.
-    """
-
-    t: float
-    arrivals: Tuple[Packet, ...] = ()
-    heartbeats: Tuple[Heartbeat, ...] = ()
-
-
-@dataclass(frozen=True)
-class DecisionOutcome:
-    """What one slot produced: bursts emitted and whether it decided."""
-
-    transmissions: Tuple[TransmissionRecord, ...]
-    decided: bool
-    held: int
-
-    @property
-    def piggybacked(self) -> bool:
-        return any(r.kind == "piggyback" for r in self.transmissions)
-
-
-def advance(state: DecisionState, event: SlotEvent) -> DecisionOutcome:
-    """Apply one slot in place — the engine's slot body, event-shaped."""
-    t = event.t
-    strategy = state.strategy
-    if event.arrivals:
-        strategy.on_arrivals(list(event.arrivals), t)
-    decide_now = is_decision_slot(t, state.slot, state.granularity)
-    if decide_now:
-        state.decisions += 1
-    n_before = len(state.radio.records)
-    state.held = slot_step(
-        strategy,
-        state.radio,
-        state.held,
-        t,
-        event.heartbeats,
-        decide_now,
-        state.warm_window,
-        battery=state.battery,
-    )
-    return DecisionOutcome(
-        transmissions=tuple(state.radio.records[n_before:]),
-        decided=decide_now,
-        held=len(state.held),
-    )
-
-
-def clone_state(state: DecisionState) -> DecisionState:
-    """Deep copy of a decision state that shares its immutable substrate.
-
-    The bandwidth and power models are lookup tables never mutated by
-    the kernel, so the clone aliases them (a Wuhan trace is large);
-    everything stateful — strategy queues, estimator RNGs, the radio's
-    burst log, held packets — is copied.
-    """
-    memo = {
-        id(state.radio.bandwidth): state.radio.bandwidth,
-        id(state.radio.power_model): state.radio.power_model,
-    }
-    return copy.deepcopy(state, memo)
-
-
-def decide(
-    state: DecisionState, event: SlotEvent
-) -> Tuple[DecisionOutcome, DecisionState]:
-    """Pure decision step: ``(state, event) -> (outcome, state')``.
-
-    Clones ``state`` (and the event's packets, which strategies mutate
-    when scheduling them) before applying :func:`advance`, so the caller's
-    state and packets are never touched and repeated calls with the same
-    inputs return the same outcome.
-    """
-    new_state = clone_state(state)
-    arrivals = tuple(
-        Packet(
-            app_id=p.app_id,
-            arrival_time=p.arrival_time,
-            size_bytes=p.size_bytes,
-            deadline=p.deadline,
-            packet_id=p.packet_id,
-            direction=p.direction,
-        )
-        for p in event.arrivals
-    )
-    outcome = advance(new_state, SlotEvent(event.t, arrivals, event.heartbeats))
-    return outcome, new_state

@@ -37,6 +37,14 @@ back to the strategy through
 :meth:`~repro.baselines.base.TransmissionStrategy.on_decisions_skipped`
 so clock-keeping state (e.g. a periodic fire timer) can be replayed
 exactly.  See ``docs/performance.md``.
+
+Both loops are resumable, and they are the only slot loops in the
+package: :meth:`Simulation.advance` finalizes the slots no later input
+can reach, so an online serve session feeds one device's events as
+they come and ends with the same :meth:`Simulation.finish` step as a
+batch :meth:`Simulation.run`.  The event loop never jumps past the
+first non-final slot; revisiting a slot the dense loop also visits
+cannot change the result.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ import math
 import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.bandwidth.models import BandwidthModel
 from repro.baselines.base import TransmissionStrategy
@@ -146,7 +154,15 @@ class DecisionWindow:
 
 
 class Simulation:
-    """One run of a strategy against a workload, trains and a channel."""
+    """One run of a strategy against a workload, trains and a channel.
+
+    :meth:`run` is the batch entry point.  The same loops can also be
+    driven incrementally, as each online serve session does: feed inputs
+    in order (:meth:`feed_packets`, :meth:`feed_heartbeats`), finalize
+    the slots no later input can reach with :meth:`advance`, and end
+    with :meth:`finish`.  Both loops keep their cursors on the instance,
+    so the result does not depend on how the inputs were split.
+    """
 
     def __init__(
         self,
@@ -170,7 +186,9 @@ class Simulation:
             raise ValueError(f"slot must be > 0, got {slot}")
         self.strategy = strategy
         self.train_generators = list(train_generators)
-        self.packets = sorted(packets, key=lambda p: (p.arrival_time, p.packet_id))
+        self._batch_packets = sorted(
+            packets, key=lambda p: (p.arrival_time, p.packet_id)
+        )
         self.power_model = power_model
         self.bandwidth = bandwidth
         self.horizon = float(horizon)
@@ -191,18 +209,51 @@ class Simulation:
         self.trace_app_costs = trace_app_costs
         #: Optional :class:`~repro.sim.battery.HarvestingBattery` gating
         #: standalone bursts.  When None, a battery the strategy *owns*
-        #: (``strategy.battery``, e.g. harvest_lazy) is picked up
-        #: automatically so every caller — engine, serve, fleet scalar
-        #: fallback — applies the same energy constraint.
-        self.battery = battery
-        self.radio: Optional[RadioInterface] = None
-        #: Slots actually visited by the last run (dense: every slot).
-        self.loop_iterations: int = 0
+        #: (``strategy.battery``, e.g. harvest_lazy) is picked up, so
+        #: batch runs, serve sessions and the fleet scalar fallback all
+        #: apply the same energy constraint.
+        self.battery = (
+            battery if battery is not None else getattr(strategy, "battery", None)
+        )
+        self.radio = RadioInterface(power_model, bandwidth)
+        self.n_slots = int(math.ceil(self.horizon / self.slot))
+        #: Inputs fed so far, in order; the result reports them.
+        self.packets: List[Packet] = []
+        self.heartbeats: List[Heartbeat] = []
+        #: Q_TX contents awaiting radio resource.
+        self.held: List[Packet] = []
+        #: Strategy decisions so far, skipped decision slots included.
+        self.decisions = 0
+        #: Slots actually visited so far (dense: every slot).
+        self.loop_iterations = 0
+        self._slot_idx = 0  # first slot not yet final
+        self._arrival_idx = 0  # first packet not yet delivered
+        self._hb_idx = 0  # first heartbeat not yet transmitted
+        self._limit = -math.inf  # inputs may not precede the last limit
+        self._last_packet = (-math.inf, -math.inf)
+        self._last_hb = (-math.inf, "", -math.inf)
+        self._finished = False
+        self._event = not dense and self._can_skip()
+        self._arrival_wakes = self._event and strategy.arrival_wakes
+        # Event loop only: each input's wake slot, computed once at feed
+        # with the exact float comparisons the dense loop makes.
+        self._arrival_times: List[float] = []
+        self._arr_wake: List[int] = []
+        self._hb_wake: List[int] = []
 
     @property
     def _granularity(self) -> float:
         """Effective decision period (never finer than the engine slot)."""
         return max(self.strategy.slot, self.slot)
+
+    @property
+    def pending_cargo(self) -> int:
+        """Packets not yet transmitted: undelivered, queued or in Q_TX."""
+        return (
+            len(self.packets) - self._arrival_idx
+            + self.strategy.pending_count
+            + len(self.held)
+        )
 
     def _is_decision_slot(self, t: float, granularity: Optional[float] = None) -> bool:
         """Whether the strategy decides in the slot starting at ``t``.
@@ -214,9 +265,6 @@ class Simulation:
         accumulated float error in ``t``: the comparison happens in the
         time domain with a granularity-relative epsilon, not on a raw
         ratio.  Callers in a loop pass the hoisted ``granularity``.
-
-        The predicate itself lives in :mod:`repro.sim.decision` so the
-        online serving layer evaluates exactly the same floats.
         """
         if granularity is None:
             granularity = self._granularity
@@ -250,59 +298,158 @@ class Simulation:
             or self._granularity > self.slot
         )
 
+    # ------------------------------------------------------------------
+    # Inputs
+    # ------------------------------------------------------------------
+
+    def feed_packets(self, packets: Iterable[Packet]) -> None:
+        """Append cargo arrivals in ``(arrival_time, packet_id)`` order.
+
+        Raises ``ValueError`` for a packet that breaks the order or
+        arrives before the last :meth:`advance` limit.
+        """
+        if self._finished:
+            raise ValueError("simulation already finished")
+        s = self.slot
+        limit = self._limit
+        last = self._last_packet
+        wakes = self._arr_wake if self._arrival_wakes else None
+        times = self._arrival_times if self._event else None
+        for p in packets:
+            a = p.arrival_time
+            key = (a, p.packet_id)
+            if key < last or a < limit:
+                raise ValueError(
+                    f"packet {p.packet_id} at t={a} fed out of order "
+                    f"(after {last}, limit {limit})"
+                )
+            last = key
+            self.packets.append(p)
+            if times is not None:
+                times.append(a)
+            if wakes is not None:
+                # Dense delivers at the first slot starting at or after a.
+                j = int(a / s)
+                while j * s < a:
+                    j += 1
+                while j > 0 and (j - 1) * s >= a:
+                    j -= 1
+                wakes.append(j)
+        self._last_packet = last
+
+    def feed_heartbeats(self, heartbeats: Iterable[Heartbeat]) -> None:
+        """Append heartbeats in ``(time, app_id, seq)`` order.
+
+        Raises ``ValueError`` for a heartbeat that breaks the order or
+        departs before the last :meth:`advance` limit.
+        """
+        if self._finished:
+            raise ValueError("simulation already finished")
+        s = self.slot
+        horizon = self.horizon
+        n_slots = self.n_slots
+        limit = self._limit
+        last = self._last_hb
+        wakes = self._hb_wake if self._event else None
+        for hb in heartbeats:
+            h = hb.time
+            key = (h, hb.app_id, hb.seq)
+            if key < last or h < limit:
+                raise ValueError(
+                    f"heartbeat {hb.app_id}#{hb.seq} at t={h} fed out of "
+                    f"order (after {last}, limit {limit})"
+                )
+            last = key
+            self.heartbeats.append(hb)
+            if wakes is not None:
+                # Collected by the first slot whose clamped end exceeds h.
+                j = int(h / s) - 1
+                if j < 0:
+                    j = 0
+                while j < n_slots and h >= min(j * s + s, horizon):
+                    j += 1
+                wakes.append(j)  # n_slots when never collected
+        self._last_hb = last
+
+    # ------------------------------------------------------------------
+    # Driving the loops
+    # ------------------------------------------------------------------
+
+    def advance(self, limit: float) -> None:
+        """Finalize every slot whose end is at or before ``limit``.
+
+        A final slot has made its decision and emitted its bursts.  Every
+        input fed afterwards must have time ``>= limit``; its delivery
+        slot is then at or after the first non-final slot, so finalizing
+        early never changes the result.
+        """
+        if self._finished:
+            raise ValueError("simulation already finished")
+        s = self.slot
+        if limit >= self.horizon:
+            stop = self.n_slots
+        else:
+            # First slot whose end ``i * s + s`` exceeds the limit (the
+            # horizon clamp cannot bind below it).
+            stop = max(0, int(limit / s))
+            while stop * s + s <= limit:
+                stop += 1
+            while stop > 0 and (stop - 1) * s + s > limit:
+                stop -= 1
+        if limit > self._limit:
+            self._limit = limit
+        if self._slot_idx < stop:
+            if self._event:
+                self._advance_event(stop)
+            else:
+                self._advance_dense(stop)
+
+    def finish(self) -> SimulationResult:
+        """Finalize every slot, flush at the horizon and build the result."""
+        self.advance(math.inf)
+        self._finished = True
+        strategy = self.strategy
+        radio = self.radio
+        # Deliver any arrivals past the last slot boundary, then flush.
+        if self.flush_at_end:
+            for p in self.packets[self._arrival_idx:]:
+                strategy.on_arrival(p, self.horizon)
+            self._arrival_idx = len(self.packets)
+            leftovers = self.held + strategy.flush(self.horizon)
+            if leftovers:
+                radio.transmit_packets(self.horizon, leftovers)
+            self.held = []
+            flushed = len(leftovers)
+        else:
+            flushed = len(self.held)
+        return SimulationResult(
+            strategy_name=strategy.name,
+            horizon=self.horizon,
+            records=list(radio.records),
+            packets=list(self.packets),
+            heartbeats=self.heartbeats,
+            energy=radio.energy_breakdown(),
+            flushed_packets=flushed,
+            decisions=self.decisions,
+        )
+
     def run(self) -> SimulationResult:
         """Execute the simulation and return the collected result."""
         from repro.obs.metrics import current_registry
 
         registry = current_registry()
         t0 = time.perf_counter() if registry is not None else 0.0
-        radio = RadioInterface(self.power_model, self.bandwidth)
-        self.radio = radio
-        heartbeats = merge_heartbeats(self.train_generators, self.horizon)
-        battery = (
-            self.battery
-            if self.battery is not None
-            else getattr(self.strategy, "battery", None)
-        )
-
-        if self.dense or not self._can_skip():
-            arrival_idx, decisions, held = self._run_dense(
-                radio, heartbeats, battery
-            )
-        else:
-            arrival_idx, decisions, held = self._run_event(
-                radio, heartbeats, battery
-            )
-
-        # Deliver any arrivals past the last slot boundary, then flush.
-        if self.flush_at_end:
-            while arrival_idx < len(self.packets):
-                self.strategy.on_arrival(self.packets[arrival_idx], self.horizon)
-                arrival_idx += 1
-            leftovers = held + self.strategy.flush(self.horizon)
-            if leftovers:
-                radio.transmit_packets(self.horizon, leftovers)
-            flushed = len(leftovers)
-        else:
-            flushed = len(held)
-
-        result = SimulationResult(
-            strategy_name=self.strategy.name,
-            horizon=self.horizon,
-            records=list(radio.records),
-            packets=list(self.packets),
-            heartbeats=heartbeats,
-            energy=radio.energy_breakdown(),
-            flushed_packets=flushed,
-            decisions=decisions,
-        )
+        self.feed_heartbeats(merge_heartbeats(self.train_generators, self.horizon))
+        self.feed_packets(self._batch_packets)
+        result = self.finish()
+        radio = self.radio
         if registry is not None:
             registry.counter("engine.runs").inc()
             registry.counter("engine.slots_visited").inc(self.loop_iterations)
-            registry.counter("engine.decisions").inc(decisions)
+            registry.counter("engine.decisions").inc(result.decisions)
             registry.counter("engine.bursts").inc(len(result.records))
             registry.counter("engine.packets").inc(len(self.packets))
-            registry.counter("engine.flushed_packets").inc(flushed)
+            registry.counter("engine.flushed_packets").inc(result.flushed_packets)
             registry.counter("engine.cold_starts").inc(radio.cold_starts)
             registry.histogram("engine.run_wall_s").observe(
                 time.perf_counter() - t0
@@ -323,28 +470,29 @@ class Simulation:
     # Dense reference loop
     # ------------------------------------------------------------------
 
-    def _run_dense(
-        self, radio: RadioInterface, heartbeats: List[Heartbeat], battery=None
-    ) -> Tuple[int, int, List[Packet]]:
-        """Visit every slot in order (the original engine loop)."""
+    def _advance_dense(self, stop: int) -> None:
+        """Visit every slot in order up to ``stop`` (the original loop)."""
         strategy = self.strategy
+        radio = self.radio
+        battery = self.battery
         packets = self.packets
+        heartbeats = self.heartbeats
         n_packets = len(packets)
         n_hbs = len(heartbeats)
         granularity = self._granularity
 
-        arrival_idx = 0
-        hb_idx = 0
-        decisions = 0
-        held: List[Packet] = []  # Q_TX contents awaiting radio resource
+        arrival_idx = self._arrival_idx
+        hb_idx = self._hb_idx
+        decisions = self.decisions
+        held = self.held
         # "Radio resource available" = the radio is still in its promoted
         # high-power tail (DCH or FACH).  Once fully demoted to IDLE a
         # new burst would buy a brand-new tail, so Q_TX waits for the
         # next heartbeat promotion instead.
         warm_window = radio.power_model.tail_time
-        n_slots = int(math.ceil(self.horizon / self.slot))
+        start = self._slot_idx
 
-        for i in range(n_slots):
+        for i in range(start, stop):
             t = i * self.slot
             slot_end = min(t + self.slot, self.horizon)
 
@@ -372,31 +520,38 @@ class Simulation:
                 battery=battery,
             )
 
-        self.loop_iterations = n_slots
-        return arrival_idx, decisions, held
+        self._slot_idx = stop
+        self._arrival_idx = arrival_idx
+        self._hb_idx = hb_idx
+        self.decisions = decisions
+        self.held = held
+        self.loop_iterations += stop - start
 
     # ------------------------------------------------------------------
     # Event-horizon loop
     # ------------------------------------------------------------------
 
-    def _run_event(
-        self, radio: RadioInterface, heartbeats: List[Heartbeat], battery=None
-    ) -> Tuple[int, int, List[Packet]]:
+    def _advance_event(self, stop: int) -> None:
         """Fast-forward between interesting slots; bit-identical to dense.
 
-        Per-slot processing is kept in lockstep with :meth:`_run_dense`
+        Per-slot processing is kept in lockstep with :meth:`_advance_dense`
         (same expressions, same order) so both paths make identical float
-        comparisons; only the iteration schedule differs.
+        comparisons; only the iteration schedule differs.  A jump never
+        passes ``stop``: the next call resumes by visiting that slot,
+        which the dense loop visits too.
         """
         strategy = self.strategy
+        radio = self.radio
+        battery = self.battery
         s = self.slot
         horizon = self.horizon
         packets = self.packets
+        heartbeats = self.heartbeats
         n_packets = len(packets)
         n_hbs = len(heartbeats)
         granularity = self._granularity
         eps = 1e-9 * granularity
-        n_slots = int(math.ceil(horizon / s))
+        n_slots = self.n_slots
         exact_grid = self._exact_slot_grid(n_slots)
         every_slot_decides = granularity <= s
         # On an exact grid with granularity == slot every slot decides,
@@ -406,54 +561,29 @@ class Simulation:
         notify_skips = (
             type(strategy).on_decisions_skipped is not base.on_decisions_skipped
         )
-        arrival_wakes = strategy.arrival_wakes
-
-        # Precompute each pending event's wake slot once, with the exact
-        # float comparisons the dense loop makes, so the hot loop indexes
-        # instead of scanning.  Dense delivers an arrival at the first
-        # slot whose start is >= its arrival time; a heartbeat is
-        # collected by the first slot whose (horizon-clamped) end exceeds
-        # its departure time.
-        arr_wake: List[int] = []
-        if arrival_wakes:
-            for p in packets:
-                a = p.arrival_time
-                j = int(a / s)
-                while j * s < a:
-                    j += 1
-                while j > 0 and (j - 1) * s >= a:
-                    j -= 1
-                arr_wake.append(j)
-        hb_wake: List[int] = []
-        for hb in heartbeats:
-            h = hb.time
-            j = int(h / s) - 1
-            if j < 0:
-                j = 0
-            while j < n_slots and h >= min(j * s + s, horizon):
-                j += 1
-            hb_wake.append(j)  # n_slots when never collected
-
+        arrival_wakes = self._arrival_wakes
+        arr_wake = self._arr_wake
+        hb_wake = self._hb_wake
         on_arrivals = strategy.on_arrivals
-        arrival_times = [p.arrival_time for p in packets]
+        arrival_times = self._arrival_times
         floor = math.floor
 
-        arrival_idx = 0
-        hb_idx = 0
-        decisions = 0
-        held: List[Packet] = []
+        arrival_idx = self._arrival_idx
+        hb_idx = self._hb_idx
+        decisions = self.decisions
+        held = self.held
         warm_window = radio.power_model.tail_time
         iterations = 0
 
-        i = 0
-        while i < n_slots:
+        i = self._slot_idx
+        while i < stop:
             iterations += 1
             t = i * s
             slot_end = t + s
             if slot_end > horizon:
                 slot_end = horizon
 
-            # ---- per-slot body: keep in lockstep with _run_dense ----
+            # ---- per-slot body: keep in lockstep with _advance_dense ----
             # Bulk equivalent of dense's one-at-a-time delivery loop:
             # on_arrivals is contractually identical to repeated
             # on_arrival calls at the same ``now``.
@@ -534,6 +664,9 @@ class Simulation:
                     # wakes), so this never fires — it guards the loop
                     # should that invariant ever change.
                     nxt = i1
+            if nxt > stop:
+                # Inputs not fed yet may wake a slot from ``stop`` on.
+                nxt = stop
 
             if nxt > i1:
                 # Count the decision slots the dense loop would have
@@ -563,8 +696,12 @@ class Simulation:
                             strategy.on_decisions_skipped(win)
             i = nxt
 
-        self.loop_iterations = iterations
-        return arrival_idx, decisions, held
+        self._slot_idx = i
+        self._arrival_idx = arrival_idx
+        self._hb_idx = hb_idx
+        self.decisions = decisions
+        self.held = held
+        self.loop_iterations += iterations
 
     def _next_decision_slot(
         self,

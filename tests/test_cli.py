@@ -185,6 +185,17 @@ class TestFleetCommand:
         assert code == 2
         assert "invalid strategy params" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param", ["theta=-1", "bogus=1"])
+    def test_record_rejects_invalid_strategy_params(self, param, tmp_path, capsys):
+        trace = tmp_path / "r.jsonl"
+        code = main(["record", "--strategy", "etrain", "--param", param,
+                     "--horizon", "60", "--trace-out", str(trace)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid strategy params: ")
+        assert captured.out == ""
+        assert not trace.exists()
+
     def test_invalid_spec_is_reported(self, capsys):
         code = main(["fleet", "--devices", "1", "--strategy", "etrain",
                      "--param", "k=3", "--horizon", "300", "--quiet"])

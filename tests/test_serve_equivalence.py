@@ -4,12 +4,11 @@ Replaying a fleet workload's per-device event streams through the
 serving stack must be *bit-identical* to the batch run of the same
 arrays — same burst sequence (starts, durations, sizes, kinds, packet
 ids), same decision counts, same per-device fleet aggregates — because
-server and simulator execute the same decision kernel
-(:mod:`repro.sim.decision`).  Checked three ways:
+each session drives the batch engine's own resumable
+:class:`~repro.sim.engine.Simulation`.  Checked three ways:
 
 * in-process :class:`~repro.serve.server.ServeApp` replay vs the scalar
-  reference path (`simulate_reference_chunk`) for every vectorized
-  strategy **and** a scalar-fallback one (peres) — exact equality,
+  batch engine for every registered strategy — exact equality,
   survives a JSON round-trip (canonical wire encoding);
 * the merged serve aggregates vs the *vectorized* fleet engine at the
   fleet suite's own tolerance (rtol 1e-6), closing the triangle
@@ -17,10 +16,6 @@ server and simulator execute the same decision kernel
 * one strategy over real TCP against a live :class:`EtrainServer`,
   certifying that framing, admission control and micro-batching do not
   perturb the numbers.
-
-Plus a hypothesis purity check of the extracted
-:func:`repro.sim.decision.decide` step: same (state, event) in, same
-outcome out, caller's state never mutated.
 """
 
 import asyncio
@@ -28,9 +23,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bandwidth.models import ConstantBandwidth
 from repro.bandwidth.synth import wuhan_bandwidth_model
 from repro.radio.power_model import GALAXY_S4_3G
 from repro.serve.loadgen import device_frames
@@ -47,24 +40,12 @@ from repro.sim.runner import run_strategy
 
 pytestmark = pytest.mark.serve
 
-#: Strategies certified bit-identical through per-device sessions.
-#: (peres is registry-vectorized since ISSUE 7 but still exercises the
-#: scalar decision engine here — sessions always run the scalar path.
-#: harvest_lazy additionally threads a HarvestingBattery through the
-#: session's DecisionState: the scalar-fallback battery gating must be
-#: identical between a served device and the batch engine, drain for
-#: drain.)
-STRATEGIES = [
-    "etrain",
-    "immediate",
-    "periodic",
-    "tailender",
-    "peres",
-    "adaptive",
-    "harvest_lazy",
-    "common_deadline",
-    "aoi_download",
-]
+#: Strategies certified bit-identical through per-device sessions: the
+#: whole registry.  Sessions always run the scalar engine, so this
+#: includes the event loop's skip accounting for strategies that decide
+#: on a coarse grid (etime, 60 s) or ignore arrival wake-ups
+#: (fixed_batch), and harvest_lazy's battery gating.
+STRATEGIES = sorted(STRATEGY_BUILDERS)
 
 _BW = wuhan_bandwidth_model()
 _WORKLOAD = synthesize_fleet(3, 450.0, seed=7)
@@ -116,6 +97,13 @@ def replay_device(app, workload, device, strategy):
 
 
 class TestServeMatchesBatchScalar:
+    def test_covers_the_registry(self):
+        """Every strategy with a conformance row is served and checked."""
+        from tests.strategy_conformance import FIXTURES
+
+        assert STRATEGIES == sorted(f.name for f in FIXTURES)
+
+    @pytest.mark.strategies
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_bit_identical_per_device(self, strategy):
         app = ServeApp(ServeConfig())
@@ -234,6 +222,31 @@ class TestBatchOp:
         assert merged.energy_total_j == pytest.approx(
             whole.energy_total_j, rel=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ({"params": {}}, {"params": {"theta": 0.2}}),
+            ({}, {"power_model": "galaxy_s4_3g"}),
+        ],
+        ids=["default-params", "default-power-model"],
+    )
+    def test_equal_configurations_coalesce(self, first, second):
+        """Fusion keys on the bound configuration, not its spelling:
+        an omitted default and the same default spelled out fuse."""
+        app = ServeApp(ServeConfig())
+        split = [
+            dict(self._batch_frame(3, 0), **first),
+            dict(self._batch_frame(2, 3), **second),
+        ]
+        fused = app.handle_batch([dict(f) for f in split])
+        assert [r["coalesced"] for r in fused] == [2, 2]
+        for f, frame in zip(fused, split):
+            lone = app.handle(dict(frame))
+            assert lone["coalesced"] == 1
+            assert {k: v for k, v in f.items() if k != "coalesced"} == {
+                k: v for k, v in lone.items() if k != "coalesced"
+            }
 
     def test_batch_meets_scalar_sessions(self):
         """Close the triangle: bulk == engine == per-device sessions."""
@@ -481,120 +494,3 @@ class TestMetricsEndpoint:
         args = build_serve_parser().parse_args(["--metrics-port", "9100"])
         assert args.metrics_port == 9100
         assert build_serve_parser().parse_args([]).metrics_port is None
-
-
-class TestDecidePurity:
-    """The extracted decide() step is a pure function of (state, event)."""
-
-    @staticmethod
-    def make_state(strategy_name="etrain"):
-        from repro.radio.interface import RadioInterface
-        from repro.sim.decision import DecisionState
-
-        class _Scenario:
-            profiles = _PROFILES
-            bandwidth = ConstantBandwidth(100_000.0)
-
-            def estimator(self, *, lag=2.0, noise=0.3, seed=0):
-                from repro.baselines.base import BandwidthEstimator
-
-                return BandwidthEstimator(
-                    self.bandwidth, lag=lag, noise=noise, seed=seed
-                )
-
-        strategy = STRATEGY_BUILDERS[strategy_name](_Scenario())
-        radio = RadioInterface(GALAXY_S4_3G, ConstantBandwidth(100_000.0))
-        return DecisionState(
-            strategy=strategy,
-            radio=radio,
-            slot=1.0,
-            granularity=max(strategy.slot, 1.0),
-            warm_window=radio.power_model.tail_time,
-        )
-
-    @given(
-        arrivals=st.lists(
-            st.tuples(
-                st.integers(min_value=100, max_value=20_000),  # size
-                st.floats(min_value=5.0, max_value=60.0),  # deadline
-            ),
-            max_size=4,
-        ),
-        heartbeat=st.booleans(),
-        slots=st.integers(min_value=0, max_value=5),
-    )
-    @settings(
-        max_examples=40,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_same_inputs_same_outcome_no_mutation(
-        self, arrivals, heartbeat, slots
-    ):
-        from repro.core.packet import Heartbeat, Packet
-        from repro.sim.decision import SlotEvent, advance, decide
-
-        state = self.make_state()
-        # Walk the state forward so purity holds mid-session, not just at t=0.
-        for i in range(slots):
-            advance(state, SlotEvent(float(i)))
-        t = float(slots)
-        packets = tuple(
-            Packet(
-                app_id=_PROFILES[0].app_id,
-                arrival_time=t,
-                size_bytes=size,
-                deadline=deadline,
-                packet_id=i,
-            )
-            for i, (size, deadline) in enumerate(arrivals)
-        )
-        hbs = (
-            (Heartbeat(app_id="qq", seq=0, time=t + 0.25, size_bytes=120),)
-            if heartbeat
-            else ()
-        )
-        event = SlotEvent(t, packets, hbs)
-
-        before_records = list(state.radio.records)
-        before_pending = state.pending_cargo
-        before_decisions = state.decisions
-
-        outcome1, state1 = decide(state, event)
-        outcome2, state2 = decide(state, event)
-
-        # Deterministic: identical outcomes and successor states.
-        assert outcome1 == outcome2
-        assert state1.decisions == state2.decisions
-        assert state1.pending_cargo == state2.pending_cargo
-        assert [tx_key(r) for r in state1.radio.records] == [
-            tx_key(r) for r in state2.radio.records
-        ]
-        # Pure: the caller's state and packets were never touched.
-        assert list(state.radio.records) == before_records
-        assert state.pending_cargo == before_pending
-        assert state.decisions == before_decisions
-        assert all(p.scheduled_time is None for p in packets)
-        # And the successor genuinely advanced.
-        assert state1.decisions >= before_decisions
-
-    def test_decide_matches_advance(self):
-        from repro.core.packet import Packet
-        from repro.sim.decision import SlotEvent, advance, decide
-
-        event = SlotEvent(
-            0.0,
-            (
-                Packet(
-                    app_id=_PROFILES[0].app_id,
-                    arrival_time=0.0,
-                    size_bytes=5_000,
-                    deadline=30.0,
-                    packet_id=0,
-                ),
-            ),
-        )
-        pure_outcome, _ = decide(self.make_state("immediate"), event)
-        mutable = self.make_state("immediate")
-        inplace_outcome = advance(mutable, event)
-        assert pure_outcome == inplace_outcome

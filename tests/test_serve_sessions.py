@@ -205,6 +205,25 @@ class TestSessionOrdering:
             session.on_cargo(9.0, "mail", 500)
         assert excinfo.value.code == "out_of_order"
 
+    def test_same_time_heartbeats_keep_merge_order(self):
+        """Equal-time heartbeats must come in (app, seq) order, the
+        order the batch run merges them in."""
+        session = make_session("d")
+        session.on_heartbeat(10.0, "qq", 1, 120)
+        session.on_heartbeat(10.0, "wechat", 0, 120)
+        with pytest.raises(ProtocolError) as excinfo:
+            session.on_heartbeat(10.0, "qq", 0, 120)
+        assert excinfo.value.code == "out_of_order"
+        # The rejected heartbeat left the session usable.
+        session.on_heartbeat(11.0, "qq", 2, 120)
+
+    def test_nan_event_time_rejected(self):
+        session = make_session("d")
+        with pytest.raises(ProtocolError) as excinfo:
+            session.on_cargo(float("nan"), "mail", 500)
+        assert excinfo.value.code == "bad_event"
+        assert session.packets == []
+
     def test_event_past_horizon_rejected(self):
         session = make_session("d")
         with pytest.raises(ProtocolError) as excinfo:
