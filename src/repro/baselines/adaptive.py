@@ -82,9 +82,10 @@ class AdaptiveThetaETrainStrategy(ETrainStrategy):
             slot=self.scheduler.config.slot,
         )
 
-    # is_idle is inherited from ETrainStrategy unchanged: the controller
-    # only mutates state (delay samples, Θ) when a decide() releases
-    # packets, which cannot happen while the scheduler's queues are empty.
+    # is_idle and decision_horizon are inherited from ETrainStrategy
+    # unchanged: the controller only mutates state (delay samples, Θ)
+    # when a decide() releases packets, which cannot happen while the
+    # queues are empty or P stays below the current Θ.
 
     def decide(self, now: float, heartbeat_present: bool) -> List[Packet]:
         released = super().decide(now, heartbeat_present)

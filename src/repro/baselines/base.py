@@ -111,9 +111,25 @@ class BandwidthEstimator:
             self._factors = _noise_table(self.seed, self.noise, sec + 1)
         return max(0.0, true * self._factors[sec])
 
-    def record(self, now: float) -> None:
-        """Log an estimate (strategies tracking running averages call this)."""
-        self._history.append(self.estimate(now))
+    def record(self, now: float) -> float:
+        """Log the estimate at ``now`` and return it.
+
+        Strategies tracking running averages call this once per decide
+        and use the returned value as that decide's estimate.
+        """
+        estimate = self.estimate(now)
+        self._history.append(estimate)
+        return estimate
+
+    def record_skipped(self, window) -> None:
+        """Record the decides a :class:`~repro.sim.engine.DecisionWindow`
+        skipped, as :meth:`record` at each of its times would have.
+
+        Only the last :attr:`HISTORY` samples can stay in the history,
+        so only those are drawn.
+        """
+        for now in window.last(self.HISTORY):
+            self._history.append(self.estimate(now))
 
     def running_average(self, window: int = HISTORY) -> Optional[float]:
         """Mean of the last ``window`` recorded estimates (None if empty)."""

@@ -65,7 +65,7 @@ class ChannelAwareETrainStrategy(ETrainStrategy):
         self._defer_started: Optional[float] = None
 
     def decide(self, now: float, heartbeat_present: bool) -> List[Packet]:
-        self.estimator.record(now)
+        estimate = self.estimator.record(now)
         released = super().decide(now, heartbeat_present)
 
         if heartbeat_present:
@@ -83,7 +83,6 @@ class ChannelAwareETrainStrategy(ETrainStrategy):
         if not self._deferred:
             return []
 
-        estimate = self.estimator.estimate(now)
         average = self.estimator.running_average() or estimate
         quality = estimate / average if average > 0 else 1.0
         patience_over = (
@@ -108,11 +107,24 @@ class ChannelAwareETrainStrategy(ETrainStrategy):
 
     @property
     def is_idle(self) -> bool:
-        """Never idle, overriding the eTrain parent: every :meth:`decide`
-        records a channel sample into the estimator, and the running
-        average built from those samples gates future dribble releases.
-        Skipping decision slots would change the sample stream."""
-        return False
+        """Idle when eTrain is and no dribble is deferred.
+
+        A decide then only records a channel sample, which
+        :meth:`on_decisions_skipped` replays.
+        """
+        return not self._deferred and super().is_idle
+
+    def decision_horizon(self, now: float) -> float:
+        """eTrain's horizon while nothing is deferred; an open deferral
+        may release at any decide, so it promises nothing."""
+        if self._deferred:
+            return now
+        return super().decision_horizon(now)
+
+    def on_decisions_skipped(self, window) -> None:
+        # A skipped decide records its sample and, with nothing deferred
+        # and P below Θ, does nothing else.
+        self.estimator.record_skipped(window)
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +152,9 @@ def channel_aware_fleet_kernel(
 
     * the Θ trigger, greedy pick and heartbeat drain are byte-for-byte
       the eTrain kernel (``_simulate_etrain``);
-    * the channel gate is **device-independent**: ``decide`` records an
-      estimator sample every 1 s slot regardless of queue content (the
-      strategy pins ``is_idle = False`` for exactly this reason), so the
+    * the channel gate is **device-independent**: every decide records
+      an estimator sample each 1 s slot regardless of queue content (the
+      scalar engine replays the samples of the decides it skips), so the
       ``quality >= threshold`` verdict is one shared boolean per slot,
       precomputed bit-exactly by
       :func:`repro.sim.fleet.estimator.quality_series`;

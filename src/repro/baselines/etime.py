@@ -80,10 +80,9 @@ class ETimeStrategy(TransmissionStrategy):
 
     def decide(self, now: float, heartbeat_present: bool) -> List[Packet]:
         # eTime records channel history every slot regardless of action.
-        self.estimator.record(now)
+        estimate = self.estimator.record(now)
         if not self._queue:
             return []
-        estimate = self.estimator.estimate(now)
         average = self.estimator.running_average() or estimate
         quality = estimate / average if average > 0 else 1.0
         score = self.backlog_bytes * quality

@@ -118,10 +118,9 @@ class PerESStrategy(TransmissionStrategy):
         self.v = min(max(self.v, self.V_MIN), self.V_MAX)
 
     def decide(self, now: float, heartbeat_present: bool) -> List[Packet]:
-        self.estimator.record(now)
+        estimate = self.estimator.record(now)
         if not self._queue:
             return []
-        estimate = self.estimator.estimate(now)
         average = self.estimator.running_average() or estimate
         quality = estimate / average if average > 0 else 1.0
         cost = self.instantaneous_cost(now)

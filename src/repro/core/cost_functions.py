@@ -19,7 +19,8 @@ express their own profiles.
 from __future__ import annotations
 
 import abc
-from typing import List, Sequence, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "DelayCostFunction",
@@ -42,6 +43,18 @@ class DelayCostFunction(abc.ABC):
 
     #: Relative deadline this profile is parameterised by (seconds).
     deadline: float
+
+    @property
+    def pieces(self) -> Optional[Tuple[float, float, float]]:
+        """``(kink, slope_before, slope_after)``, or None to declare nothing.
+
+        A declaring class is linear in the delay on ``[0, kink]`` and on
+        ``(kink, inf)`` with these slopes (a jump at the kink is allowed),
+        and its float ``__call__`` is non-decreasing across the kink.
+        eTrain's decision horizon guesses its Θ crossing from the pieces;
+        for a class that declares none it promises no quiet stretch.
+        """
+        return None
 
     @abc.abstractmethod
     def __call__(self, delay: float) -> float:
@@ -67,6 +80,10 @@ class _DeadlineCost(DelayCostFunction):
 class MailCost(_DeadlineCost):
     """f1 — email: no cost before the deadline, linear afterwards."""
 
+    @property
+    def pieces(self) -> Tuple[float, float, float]:
+        return (self.deadline, 0.0, 1.0 / self.deadline)
+
     def __call__(self, delay: float) -> float:
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
@@ -81,6 +98,10 @@ class WeiboCost(_DeadlineCost):
     #: Cost plateau once the deadline is violated.
     PLATEAU = 2.0
 
+    @property
+    def pieces(self) -> Tuple[float, float, float]:
+        return (self.deadline, 1.0 / self.deadline, 0.0)
+
     def __call__(self, delay: float) -> float:
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
@@ -91,6 +112,13 @@ class WeiboCost(_DeadlineCost):
 
 class CloudCost(_DeadlineCost):
     """f3 — cloud sync: linear before deadline, 3× slope afterwards."""
+
+    @property
+    def pieces(self) -> Tuple[float, float, float]:
+        # Monotone at the kink: for d > D, fl(3d) > 3D (its rounding error
+        # is under the 3 ulp(D) gap), so fl(fl(3d)/D) >= 3 and the cost
+        # is >= 1 = fl(D/D).
+        return (self.deadline, 1.0 / self.deadline, 3.0 / self.deadline)
 
     def __call__(self, delay: float) -> float:
         if delay < 0:
@@ -109,6 +137,10 @@ class LinearCost(DelayCostFunction):
         self.slope = float(slope)
         self.deadline = float(deadline)
 
+    @property
+    def pieces(self) -> Tuple[float, float, float]:
+        return (math.inf, self.slope, self.slope)
+
     def __call__(self, delay: float) -> float:
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
@@ -123,6 +155,10 @@ class StepCost(_DeadlineCost):
         if penalty < 0:
             raise ValueError(f"penalty must be >= 0, got {penalty}")
         self.penalty = float(penalty)
+
+    @property
+    def pieces(self) -> Tuple[float, float, float]:
+        return (self.deadline, 0.0, 0.0)
 
     def __call__(self, delay: float) -> float:
         if delay < 0:
@@ -178,6 +214,10 @@ class ZeroCost(DelayCostFunction):
 
     def __init__(self) -> None:
         self.deadline = float("inf")
+
+    @property
+    def pieces(self) -> Tuple[float, float, float]:
+        return (math.inf, 0.0, 0.0)
 
     def __call__(self, delay: float) -> float:
         if delay < 0:

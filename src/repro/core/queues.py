@@ -8,8 +8,10 @@ as soon as the radio is free.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, List, Optional
+from typing import Deque, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.cost_functions import DelayCostFunction
 from repro.core.packet import Packet
@@ -30,6 +32,8 @@ class WaitingQueue:
         self.app_id = app_id
         self.cost_function = cost_function
         self._packets: List[Packet] = []
+        #: Arrival times of ``_packets``, in the same order.
+        self._arrivals: List[float] = []
 
     def __len__(self) -> int:
         return len(self._packets)
@@ -55,12 +59,14 @@ class WaitingQueue:
         if self._packets and packet.arrival_time < self._packets[-1].arrival_time:
             raise ValueError("packets must be enqueued in arrival order")
         self._packets.append(packet)
+        self._arrivals.append(packet.arrival_time)
 
     def remove(self, packet: Packet) -> None:
         """Remove a specific packet (after the scheduler selects it)."""
         for i, p in enumerate(self._packets):
             if p.packet_id == packet.packet_id:
                 del self._packets[i]
+                del self._arrivals[i]
                 return
         raise KeyError(f"packet {packet.packet_id} not in queue {self.app_id!r}")
 
@@ -70,7 +76,30 @@ class WaitingQueue:
 
     def instantaneous_cost(self, now: float) -> float:
         """P_i(t) = Σ_{u ∈ Q_i} φ_u(now − t_a(u))."""
-        return sum(self.cost_function(p.delay_at(now)) for p in self._packets)
+        phi = self.cost_function
+        # Packet.delay_at inlined: the delay clamps at zero.
+        return sum([phi(now - a if a < now else 0.0) for a in self._arrivals])
+
+    def linear_piece(self, now: float) -> Optional[Tuple[float, float]]:
+        """``(slope, end)`` of P_i just after ``now``, from the cost pieces.
+
+        ``slope`` sums each queued packet's current piece slope; ``end``
+        is the earliest time one of those pieces ends (``inf`` if none
+        does).  Both are a guess's inputs, not exact: a packet within
+        rounding of its kink may be put on either side.  None when the
+        cost function declares no pieces.
+        """
+        pieces = self.cost_function.pieces
+        if pieces is None:
+            return None
+        kink, before, after = pieces
+        arrivals = self._arrivals
+        n = len(arrivals)
+        # Packets that arrived by now - kink are past their kink after now.
+        past = bisect_right(arrivals, now - kink)
+        slope = past * after + (n - past) * before
+        end = arrivals[past] + kink if past < n else math.inf
+        return slope, end
 
     def speculative_cost(self, packet: Packet, now: float, slot: float = 1.0) -> float:
         """φ̂_u(t) — the packet's cost one slot later if left unscheduled."""

@@ -18,9 +18,8 @@ slot drain as many packets as are queued.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.lyapunov import build_drift_states, greedy_select
 from repro.core.packet import Packet
@@ -106,7 +105,6 @@ class ETrainScheduler:
         for profile in profiles:
             self.register_app(profile)
         self.tx_queue = TransmissionQueue()
-        self.decisions: List[SchedulerDecision] = []
 
     def register_app(self, profile: CargoAppProfile) -> None:
         """Register a cargo app (creates its waiting queue Q_i)."""
@@ -143,7 +141,10 @@ class ETrainScheduler:
 
     def instantaneous_cost(self, now: float) -> float:
         """P(t) = Σ_i P_i(t) over all registered apps."""
-        return sum(q.instantaneous_cost(now) for q in self.queues.values())
+        # An empty queue's P_i is the int 0, which leaves either float
+        # sum() (the left fold, or the compensated one of Python 3.12+)
+        # bit for bit unchanged, so it is left out.
+        return sum([q.instantaneous_cost(now) for q in self.queues.values() if q])
 
     def decide(self, now: float, heartbeat_present: bool) -> SchedulerDecision:
         """Run Algorithm 1 for the slot starting at ``now``.
@@ -170,15 +171,13 @@ class ETrainScheduler:
                 self.tx_queue.push(packet)
                 selected.append(packet)
 
-        decision = SchedulerDecision(
+        return SchedulerDecision(
             time=now,
             selected=tuple(selected),
             instantaneous_cost=cost,
             budget=budget,
             heartbeat_slot=heartbeat_present,
         )
-        self.decisions.append(decision)
-        return decision
 
     def flush(self, now: float) -> List[Packet]:
         """Force-drain every waiting queue (end-of-run cleanup).

@@ -305,7 +305,7 @@ class ServeApp:
         bw_spec = request.get("bandwidth")
         if bw_spec is None:
             bw_spec = {"kind": self.config.default_bandwidth}
-        self._bandwidth(bw_spec)  # validates the spec
+        channel = self._channel_ident(self._bandwidth(bw_spec))  # validates
         try:
             # Bound over the defaults, so equal configurations spelled
             # differently share a key and coalesce.
@@ -335,10 +335,9 @@ class ServeApp:
             raise ProtocolError("bad_request", f"horizon must be > 0, got {horizon}")
         seed = self._int(request, "seed", 0, minimum=0)
         params_key = tuple(sorted(params.items()))
-        bw_key = json.dumps(bw_spec, sort_keys=True, separators=(",", ":"))
         return {
             "request": request,
-            "key": (strategy, params_key, horizon, seed, bw_key, power_name),
+            "key": (strategy, params_key, horizon, seed, channel, power_name),
             "strategy": strategy,
             "params": params,
             "devices": devices,
@@ -349,19 +348,25 @@ class ServeApp:
             "power_model": power_name,
         }
 
-    def _channel_table(self, bw_spec: Dict, horizon: float):
+    @staticmethod
+    def _channel_ident(model):
+        """The resolved channel a bandwidth spec names, as a dict key.
+
+        Not the client's spelling of it: named models are shared per
+        process, so the object itself (held by the key, so its identity
+        stays unique) names the channel.
+        """
         from repro.bandwidth.models import ConstantBandwidth
+
+        if isinstance(model, ConstantBandwidth):
+            return ("constant", model.rate)
+        return model
+
+    def _channel_table(self, bw_spec: Dict, horizon: float):
         from repro.sim.fleet.channel import ChannelTable
 
-        # Keyed by the resolved model, not the client's spelling of it:
-        # named models are shared per process, so the object itself (held
-        # by the key, so its identity stays unique) names the channel.
         model = self._bandwidth(bw_spec)
-        if isinstance(model, ConstantBandwidth):
-            ident = ("constant", model.rate)
-        else:
-            ident = model
-        key = (ident, float(horizon))
+        key = (self._channel_ident(model), float(horizon))
         table = self._table_cache.get(key)
         if table is None:
             if len(self._table_cache) >= 8:

@@ -145,6 +145,16 @@ class DecisionWindow:
         # lands strictly between it and its successor.
         return self.first_at_or_after(first + 0.5 * self._s)
 
+    def last(self, n: int) -> List[float]:
+        """The last ``n`` skipped decision times (all when fewer), in order."""
+        if self._times is not None:
+            return self._times[max(0, self.count - n):]
+        m_hi = self._m_lo + self.count
+        ms = range(max(self._m_lo, m_hi - n) + 1, m_hi + 1)
+        if self._g == self._s:
+            return [m * self._s for m in ms]  # every slot decides: m is a slot
+        return [self._slot_time(m) for m in ms]
+
     def times(self) -> List[float]:
         """All skipped decision times, materialised (O(count))."""
         if self._times is not None:

@@ -81,8 +81,7 @@ def quality_series(
     q = np.empty(len(times), dtype=np.float64)
     for j, t in enumerate(times):
         t = float(t)
-        est.record(t)
-        estimate = est.estimate(t)
+        estimate = est.record(t)
         average = est.running_average() or estimate
         q[j] = estimate / average if average > 0 else 1.0
     return q

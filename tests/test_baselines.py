@@ -17,6 +17,7 @@ from repro.baselines.immediate import ImmediateStrategy
 from repro.baselines.peres import PerESStrategy
 from repro.baselines.tailender import TailEnderStrategy
 from repro.core.profiles import mail_profile, weibo_profile
+from repro.sim.engine import DecisionWindow
 
 from tests.conftest import make_packet
 
@@ -146,6 +147,34 @@ class TestBandwidthEstimator:
         est.record(0.0)
         est.record(1.0)
         assert est.running_average() == pytest.approx(1_000.0)
+
+    def test_record_returns_the_recorded_estimate(self):
+        bw = TraceBandwidth([float(100 + 7 * i) for i in range(50)])
+        est = BandwidthEstimator(bw, noise=0.3, seed=3)
+        for t in (0.0, 2.5, 17.0):
+            assert est.record(t) == est.estimate(t) == est._history[-1]
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            DecisionWindow.from_grid(1.0, 1.0, 1e-9, 10, 10, 15),
+            DecisionWindow.from_grid(1.0, 1.0, 1e-9, 10, 10, 400),
+            DecisionWindow.from_grid(0.5, 3.0, 3e-9, 4, 0, 200),
+            DecisionWindow.from_times([0.7 * k for k in range(3, 300)]),
+        ],
+        ids=["grid-short", "grid-long", "grid-coarse", "times"],
+    )
+    def test_record_skipped_equals_recording_each_time(self, window):
+        bw = TraceBandwidth([float(100 + 7 * i) for i in range(900)])
+        each = BandwidthEstimator(bw, noise=0.3, seed=3)
+        skipped = BandwidthEstimator(bw, noise=0.3, seed=3)
+        for est in (each, skipped):
+            est.record(0.0)
+        for t in window.times():
+            each.record(t)
+        skipped.record_skipped(window)
+        assert list(skipped._history) == list(each._history)
+        assert window.last(7) == window.times()[-7:]
 
     def test_validation(self):
         with pytest.raises(ValueError):

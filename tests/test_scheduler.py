@@ -114,12 +114,13 @@ class TestDecide:
         s.on_packet_arrival(make_packet(app_id="weibo", arrival=0.0))
         assert s.instantaneous_cost(15.0) == pytest.approx(1.0)
 
-    def test_decisions_recorded(self):
+    def test_decide_returns_its_decision(self):
         s = scheduler()
-        s.decide(0.0, heartbeat_present=False)
-        s.decide(1.0, heartbeat_present=True)
-        assert len(s.decisions) == 2
-        assert s.decisions[1].heartbeat_slot
+        quiet = s.decide(0.0, heartbeat_present=False)
+        beat = s.decide(1.0, heartbeat_present=True)
+        assert (quiet.time, quiet.heartbeat_slot, quiet.budget) == (0.0, False, 0)
+        assert (beat.time, beat.heartbeat_slot) == (1.0, True)
+        assert not hasattr(s, "decisions")  # no per-decide log kept
 
     def test_selected_packets_move_to_tx_queue(self):
         s = scheduler(theta=0.0)

@@ -228,12 +228,17 @@ class TestBatchOp:
         [
             ({"params": {}}, {"params": {"theta": 0.2}}),
             ({}, {"power_model": "galaxy_s4_3g"}),
+            (
+                {"bandwidth": {"kind": "constant", "rate": 100000}},
+                {"bandwidth": {"kind": "constant", "rate": 100000.0}},
+            ),
         ],
-        ids=["default-params", "default-power-model"],
+        ids=["default-params", "default-power-model", "equal-channel"],
     )
     def test_equal_configurations_coalesce(self, first, second):
         """Fusion keys on the bound configuration, not its spelling:
-        an omitted default and the same default spelled out fuse."""
+        an omitted default and the same default spelled out fuse, and so
+        do two spellings of one resolved channel."""
         app = ServeApp(ServeConfig())
         split = [
             dict(self._batch_frame(3, 0), **first),
