@@ -114,7 +114,6 @@ def adaptive_fleet_kernel(
     table,
     power_model,
     *,
-    profiler=None,
     target_delay,
     theta_init,
     window,
@@ -236,6 +235,5 @@ def adaptive_fleet_kernel(
         theta,
         warm_gate,
         power_model,
-        profiler=profiler,
         on_release=on_release,
     )

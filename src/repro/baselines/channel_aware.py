@@ -137,7 +137,6 @@ def channel_aware_fleet_kernel(
     table,
     power_model,
     *,
-    profiler=None,
     theta,
     quality_threshold,
     max_defer,
@@ -203,6 +202,5 @@ def channel_aware_fleet_kernel(
         theta,
         True,  # the scalar builder always leaves warm_gate on
         power_model,
-        profiler=profiler,
         defer=(release_ok, max_defer),
     )

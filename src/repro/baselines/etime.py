@@ -102,7 +102,7 @@ class ETimeStrategy(TransmissionStrategy):
 
 
 def etime_fleet_kernel(
-    workload, table, power_model, *, profiler=None, v, lag, noise, est_seed
+    workload, table, power_model, *, v, lag, noise, est_seed
 ):
     """Batched eTime over the device axis of one fleet chunk.
 

@@ -145,7 +145,7 @@ class PerESStrategy(TransmissionStrategy):
 
 
 def peres_fleet_kernel(
-    workload, table, power_model, *, profiler=None, omega, v_init, lag, noise, est_seed
+    workload, table, power_model, *, omega, v_init, lag, noise, est_seed
 ):
     """Batched PerES over the device axis of one fleet chunk.
 

@@ -1079,6 +1079,7 @@ def run_fleet_command(argv: List[str]) -> int:
     """Execute ``etrain fleet ...``; returns an exit code."""
     import json
 
+    from repro.obs.metrics import MetricsRegistry
     from repro.sim.fleet import FleetSpec, run_fleet
 
     args = build_fleet_parser().parse_args(argv)
@@ -1137,14 +1138,12 @@ def run_fleet_command(argv: List[str]) -> int:
             file=sys.stderr,
         )
     stats = result.executor_stats
-    if stats is not None and (
-        stats.worker_failures or stats.timeouts or stats.retries
-    ):
+    if stats.worker_failures or stats.timeouts or stats.retries:
         print(stats.describe())
     summary = result.summary.summary()
     for key in sorted(summary):
         print(f"  {key:26s} {summary[key]:.6g}")
-    if result.phases and not args.quiet:
+    if not args.quiet:
         print("phases:")
         for name, v in result.phases.items():
             print(
@@ -1152,9 +1151,7 @@ def run_fleet_command(argv: List[str]) -> int:
                 f"cpu {v['cpu_s'] * 1e3:9.2f} ms"
             )
     if args.metrics_out is not None:
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(result.metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        MetricsRegistry.from_dict(result.metrics).dump_json(args.metrics_out)
         print(f"wrote {len(result.metrics)} metric(s) to {args.metrics_out}")
     if args.out is not None:
         doc = {

@@ -1,4 +1,4 @@
-"""Observability layer: structured tracing, metrics, and profiling.
+"""Observability layer: structured tracing and metrics.
 
 ``repro.obs`` is the layer every engine reports through:
 
@@ -12,9 +12,9 @@
   engine with zero overhead when no recorder is attached;
 * :mod:`repro.obs.metrics` — a process-local registry of counters,
   gauges and histograms whose merge is associative and commutative, so
-  worker metrics combine like fleet chunk summaries;
-* :mod:`repro.obs.profiling` — per-phase wall/CPU timers surfaced in
-  ``etrain fleet`` output and its ``--out`` document;
+  worker metrics combine like fleet chunk summaries (its histograms
+  also carry the ``fleet.phase.*`` timings behind ``etrain fleet``'s
+  phase table);
 * :mod:`repro.obs.replay` — recomputes a run's summary metrics (total
   energy, piggyback ratio, delay cost) from its event trace alone,
   making traces a correctness artifact rather than just a log.
@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     current_registry,
     metrics_scope,
 )
-from repro.obs.profiling import PhaseProfiler
 from repro.obs.recorder import (
     JsonlRecorder,
     ListRecorder,
@@ -53,7 +52,6 @@ __all__ = [
     "MetricsRegistry",
     "metrics_scope",
     "current_registry",
-    "PhaseProfiler",
     "replay_events",
     "replay_trace_file",
     "verify_trace",

@@ -16,14 +16,15 @@ Metric types
 * ``Histogram`` — fixed log2 bucket counts plus (count, sum, min, max);
   merge = element-wise sum with min/max folds.  Fixed bucket edges are
   what keep the merge exact regardless of which worker saw which
-  observation.
+  observation.  The edges start at 1, so a histogram of seconds
+  (``*_s``) carries its information in count, sum, min and max only.
 
 Scoping
 -------
 Engines report through :func:`current_registry`, which returns the
 innermost active :func:`metrics_scope` registry or ``None``.  When no
-scope is active, the recording helpers are no-ops, so un-instrumented
-call sites pay a single dict-free function call.  The scope stack is a
+scope is active, instrumented call sites skip their recording, so they
+pay a single dict-free function call.  The scope stack is a
 plain module-level list: the simulators are single-threaded per process
 (parallelism is process-based), so no thread-local is needed — and a
 plain list keeps ``current_registry()`` cheap.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 __all__ = [
     "Counter",
@@ -120,6 +121,13 @@ class Histogram:
     holds everything below 1, including zero and negatives).  The edges
     are a property of the type, not the instance, so two histograms of
     the same metric always merge bucket-for-bucket.
+
+    The buckets resolve only values >= 1.  Durations in seconds (every
+    ``*_s`` histogram: ``engine.run_wall_s``, ``executor.job_wall_s``,
+    ``fleet.phase.*``) almost all land in bucket 0, so for them only
+    ``count``, ``sum``, ``min`` and ``max`` carry information.  The
+    edges stay as they are: per-job metrics held in result caches merge
+    bucket-for-bucket with fresh ones.
     """
 
     kind = "histogram"
@@ -215,9 +223,6 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
-    def names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._metrics))
-
     def __len__(self) -> int:
         return len(self._metrics)
 
@@ -255,24 +260,3 @@ class MetricsRegistry:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def record_counter(name: str, amount: float = 1.0) -> None:
-    """Increment ``name`` in the active registry; no-op outside a scope."""
-    reg = current_registry()
-    if reg is not None:
-        reg.counter(name).inc(amount)
-
-
-def record_gauge(name: str, value: float) -> None:
-    """Set ``name`` in the active registry; no-op outside a scope."""
-    reg = current_registry()
-    if reg is not None:
-        reg.gauge(name).set(value)
-
-
-def record_histogram(name: str, value: float) -> None:
-    """Observe ``value`` in the active registry; no-op outside a scope."""
-    reg = current_registry()
-    if reg is not None:
-        reg.histogram(name).observe(value)

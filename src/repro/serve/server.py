@@ -48,6 +48,13 @@ from repro.serve.sessions import DeviceSession, SessionStore, profiles_from_spec
 
 __all__ = ["ServeConfig", "ServeApp", "EtrainServer", "run_serve"]
 
+#: Bandwidth model of requests that name none.
+DEFAULT_BANDWIDTH = "wuhan"
+#: Bytes per socket read.
+READ_CHUNK = 65536
+#: Per-``batch``-request device cap (bounds one kernel call's memory).
+BATCH_DEVICES_MAX = 16384
+
 
 @dataclass
 class ServeConfig:
@@ -59,10 +66,6 @@ class ServeConfig:
     inbox_capacity: int = 8192
     inbox_watermark: Optional[int] = None  # None = no soft limit below capacity
     batch_max: int = 256
-    read_chunk: int = 65536
-    default_bandwidth: str = "wuhan"
-    #: Per-``batch``-request device cap (bounds one kernel call's memory).
-    batch_devices_max: int = 16384
     #: When set, a second listener serves ``GET /`` with a JSON metrics
     #: snapshot (0 = ephemeral).  ``None`` disables introspection.
     metrics_port: Optional[int] = None
@@ -304,7 +307,7 @@ class ServeApp:
         self._power_model(power_name)  # validates the name
         bw_spec = request.get("bandwidth")
         if bw_spec is None:
-            bw_spec = {"kind": self.config.default_bandwidth}
+            bw_spec = {"kind": DEFAULT_BANDWIDTH}
         channel = self._channel_ident(self._bandwidth(bw_spec))  # validates
         try:
             # Bound over the defaults, so equal configurations spelled
@@ -322,11 +325,11 @@ class ServeApp:
                 "has no vectorized fleet kernel; open per-device sessions instead",
             )
         devices = self._int(request, "devices", None, minimum=1)
-        if devices > self.config.batch_devices_max:
+        if devices > BATCH_DEVICES_MAX:
             raise ProtocolError(
                 "bad_request",
                 f"devices {devices} above the per-request cap "
-                f"{self.config.batch_devices_max}; split into ranges "
+                f"{BATCH_DEVICES_MAX}; split into ranges "
                 "(contiguous ranges coalesce server-side)",
             )
         offset = self._int(request, "device_offset", 0, minimum=0)
@@ -491,7 +494,7 @@ class ServeApp:
 
     def _bandwidth(self, spec: Optional[Dict]):
         if spec is None:
-            spec = {"kind": self.config.default_bandwidth}
+            spec = {"kind": DEFAULT_BANDWIDTH}
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ProtocolError(
                 "bad_request", f"bandwidth must be an object with 'kind', got {spec!r}"
@@ -600,7 +603,7 @@ class EtrainServer:
         decoder = NdjsonDecoder()
         try:
             while True:
-                data = await reader.read(self.config.read_chunk)
+                data = await reader.read(READ_CHUNK)
                 if not data:
                     break
                 self._ingest(conn, decoder.feed(data))

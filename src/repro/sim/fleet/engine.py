@@ -651,7 +651,6 @@ def _simulate_etrain(
     warm_gate: bool,
     pm: PowerModel,
     *,
-    profiler=None,
     on_release=None,
     defer=None,
 ) -> FleetChunkRaw:
@@ -673,8 +672,15 @@ def _simulate_etrain(
     hb_hi)`` receives each round's selection-time releases: single Θ
     picks with their delays, and heartbeat drains as (apps, n) flat
     packet bounds of the queue frozen before the drain.
+
+    Inside a :func:`~repro.obs.metrics.metrics_scope`, each sub-phase's
+    chunk total is observed once as ``fleet.phase.etrain.<phase>_s``
+    and the round count added to ``fleet.phase.etrain.rounds``.
     """
-    clk = time.perf_counter if profiler is not None else None
+    from repro.obs.metrics import current_registry
+
+    registry = current_registry()
+    clk = time.perf_counter if registry is not None else None
     t_setup = clk() if clk else 0.0
 
     A, D = w.n_apps, w.n_devices
@@ -841,7 +847,7 @@ def _simulate_etrain(
         return np.asarray([f for d in devs for f in def_flats[d]], dtype=np.int64)
 
     if clk:
-        profiler.add("etrain.setup", clk() - t_setup)
+        setup_s = clk() - t_setup
         acc_q = acc_d = acc_h = 0.0
 
     never = np.full(D, np.inf)
@@ -1112,9 +1118,6 @@ def _simulate_etrain(
             acc_h += clk() - ts
 
     if clk:
-        profiler.add("etrain.queue_updates", acc_q, calls=rounds)
-        profiler.add("etrain.decision", acc_d, calls=rounds)
-        profiler.add("etrain.heartbeats", acc_h, calls=rounds)
         t_fin = clk()
 
     # end-of-horizon flush: held + still-queued + never-delivered packets
@@ -1186,7 +1189,16 @@ def _simulate_etrain(
     row_of[perm] = np.arange(perm.size, dtype=np.int64)
 
     if clk:
-        profiler.add("etrain.finalize", clk() - t_fin)
+        phases = dict(
+            setup=setup_s,
+            queue_updates=acc_q,
+            decision=acc_d,
+            heartbeats=acc_h,
+            finalize=clk() - t_fin,
+        )
+        for name, secs in phases.items():
+            registry.histogram(f"fleet.phase.etrain.{name}_s").observe(secs)
+        registry.counter("fleet.phase.etrain.rounds").inc(rounds)
 
     return FleetChunkRaw(
         n_devices=D,
@@ -1220,7 +1232,6 @@ def simulate_fleet_chunk(
     params: Optional[Dict] = None,
     power_model: PowerModel = GALAXY_S4_3G,
     recorder=None,
-    profiler=None,
 ) -> FleetChunkRaw:
     """Simulate one chunk of devices under a vectorized strategy.
 
@@ -1232,10 +1243,11 @@ def simulate_fleet_chunk(
 
     ``recorder`` optionally receives the chunk's event trace (one
     ``fleet_chunk`` summary plus a ``fleet_burst`` event per burst row)
-    after simulation — see :mod:`repro.obs.tracer`.  ``profiler``
-    optionally accumulates kernel sub-phase timings
-    (:class:`repro.obs.profiling.PhaseProfiler`).  The simulation
-    itself is identical with or without either.
+    after simulation — see :mod:`repro.obs.tracer`.  Inside a
+    :func:`~repro.obs.metrics.metrics_scope` the chunk's ``fleet.*``
+    counters (and the eTrain family's ``fleet.phase.etrain.*``
+    sub-phases) land in the active registry.  The simulation itself is
+    identical with or without either.
     """
     from repro.sim.parallel.specs import STRATEGIES, fleet_kernel
 
@@ -1248,7 +1260,7 @@ def simulate_fleet_chunk(
             f"{params or {}} on this power model (use the scalar fallback)"
         )
     kernel, kwargs = found
-    raw = kernel(workload, table, power_model, profiler=profiler, **kwargs)
+    raw = kernel(workload, table, power_model, **kwargs)
     if recorder is not None:
         from repro.obs.tracer import emit_fleet_chunk_trace
 
@@ -1275,7 +1287,7 @@ def fleet_slot_count(horizon: float) -> int:
 
 
 def _etrain_kernel(
-    workload: FleetWorkload, table, power_model, *, profiler=None, theta, warm_gate
+    workload: FleetWorkload, table, power_model, *, theta, warm_gate
 ) -> FleetChunkRaw:
     if np.any(workload.deadlines < 2.0):
         raise ValueError("fleet etrain requires all deadlines >= 2 s")
@@ -1293,12 +1305,11 @@ def _etrain_kernel(
         float(theta),
         bool(warm_gate),
         power_model,
-        profiler=profiler,
     )
 
 
 def _immediate_kernel(
-    workload: FleetWorkload, table, power_model, *, profiler=None
+    workload: FleetWorkload, table, power_model
 ) -> FleetChunkRaw:
     n_slots = fleet_slot_count(workload.horizon)
     pk_app, pk_dev, pk_arr, pk_size, _ = _flat_packets(workload)
@@ -1309,7 +1320,7 @@ def _immediate_kernel(
 
 
 def _periodic_kernel(
-    workload: FleetWorkload, table, power_model, *, profiler=None, period
+    workload: FleetWorkload, table, power_model, *, period
 ) -> FleetChunkRaw:
     """Releases on the shared wall-clock fire clock of ``period`` seconds.
 
@@ -1334,7 +1345,7 @@ def _periodic_release_slots(pk_arr, n_slots: int, period: float) -> np.ndarray:
 
 
 def _tailender_kernel(
-    workload: FleetWorkload, table, power_model, *, profiler=None, slack
+    workload: FleetWorkload, table, power_model, *, slack
 ) -> FleetChunkRaw:
     n_slots = fleet_slot_count(workload.horizon)
     pk_app, pk_dev, pk_arr, pk_size, _ = _flat_packets(workload)

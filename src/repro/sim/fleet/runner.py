@@ -5,7 +5,10 @@ fleet's chunks across the
 :class:`~repro.sim.parallel.executor.ExperimentExecutor` (serial
 in-process, sharing one channel table through shared memory, or forked
 lease workers — same code path either way), merges the streamed chunk
-summaries, and reports throughput plus peak RSS.
+summaries, and reports throughput plus peak RSS.  Its orchestration
+phases are timed into the executor's metrics registry as
+``fleet.phase.<name>_s`` (wall) and ``fleet.phase.<name>_cpu_s``
+histograms; :attr:`FleetRunResult.phases` is the table view of them.
 
 Memory stays O(chunk_size): no structure here grows with the fleet's
 device count except the list of fixed-size chunk summaries (O(chunks)).
@@ -17,16 +20,20 @@ from __future__ import annotations
 import contextlib
 import resource
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, Optional
 
 from repro.obs.events import TRACE_SCHEMA_VERSION, EventType
-from repro.obs.profiling import PhaseProfiler
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.fleet.aggregate import FleetChunkSummary
 from repro.sim.fleet.channel import ChannelTable, SharedChannel
 from repro.sim.fleet.spec import FleetSpec
+from repro.sim.parallel.executor import ExecutorStats, ExperimentExecutor
 
 __all__ = ["FleetRunResult", "run_fleet", "peak_rss_bytes"]
+
+#: ``run_fleet``'s orchestration phases, in pipeline order.
+PHASES = ("channel_publish", "simulate", "aggregate")
 
 
 def peak_rss_bytes(include_children: bool = True) -> int:
@@ -41,6 +48,18 @@ def peak_rss_bytes(include_children: bool = True) -> int:
     return int(peak) * 1024
 
 
+@contextlib.contextmanager
+def _phase(metrics: MetricsRegistry, name: str) -> Iterator[None]:
+    """Observe the block's wall and CPU seconds as ``fleet.phase.<name>``."""
+    w0, c0 = time.perf_counter(), time.process_time()
+    try:
+        yield
+    finally:
+        wall, cpu = time.perf_counter() - w0, time.process_time() - c0
+        metrics.histogram(f"fleet.phase.{name}_s").observe(wall)
+        metrics.histogram(f"fleet.phase.{name}_cpu_s").observe(cpu)
+
+
 @dataclass
 class FleetRunResult:
     """Merged outcome of one fleet run."""
@@ -52,13 +71,26 @@ class FleetRunResult:
     cached_chunks: int
     vectorized: bool
     peak_rss: int  # bytes, publisher process + reaped workers
-    #: Merged per-worker metrics (serialised MetricsRegistry dict).
-    metrics: Dict = field(default_factory=dict)
-    #: Per-phase wall/CPU timings of the orchestration pipeline.
-    phases: Dict = field(default_factory=dict)
-    #: The executor's :class:`~repro.sim.parallel.executor.ExecutorStats`
-    #: (retries, worker failures, timeouts, ...); None for old callers.
-    executor_stats: Optional[object] = None
+    #: Merged per-worker metrics plus this run's ``fleet.phase.*``
+    #: (serialised MetricsRegistry dict).
+    metrics: Dict
+    #: The executor's stats (retries, worker failures, timeouts, ...).
+    executor_stats: ExecutorStats
+
+    @property
+    def phases(self) -> Dict[str, Dict[str, float]]:
+        """Wall/CPU seconds and calls per orchestration phase, in
+        pipeline order: a view of the ``fleet.phase.*`` histograms."""
+        table = {}
+        for name in PHASES:
+            wall = self.metrics[f"fleet.phase.{name}_s"]
+            cpu = self.metrics[f"fleet.phase.{name}_cpu_s"]
+            table[name] = {
+                "wall_s": wall["sum"],
+                "cpu_s": cpu["sum"],
+                "calls": wall["count"],
+            }
+        return table
 
     @property
     def devices_per_sec(self) -> float:
@@ -116,12 +148,9 @@ def run_fleet(
     hashes exclude the shared-channel handle, so cache, journal and
     results are identical whichever placement runs them.
     """
-    from repro.sim.parallel.executor import ExperimentExecutor
-
     vectorized = spec.vectorized
     if share_channel is None:
         share_channel = vectorized
-    profiler = PhaseProfiler()
     started = time.perf_counter()
     common = dict(
         cache_dir=cache_dir,
@@ -136,7 +165,7 @@ def run_fleet(
     else:
         executor = ExperimentExecutor(workers=workers, **common)
     with contextlib.ExitStack() as stack:
-        with profiler.phase("channel_publish"):
+        with _phase(executor.metrics, "channel_publish"):
             if share_channel and vectorized and executor.in_process:
                 table = ChannelTable.from_model(spec.bandwidth_model(), spec.horizon)
                 shared = stack.enter_context(SharedChannel.publish(table))
@@ -156,9 +185,9 @@ def run_fleet(
                         "chunks": len(chunks),
                     }
                 )
-        with profiler.phase("simulate"):
+        with _phase(executor.metrics, "simulate"):
             results = executor.run(chunks)
-    with profiler.phase("aggregate"):
+    with _phase(executor.metrics, "aggregate"):
         summaries = [FleetChunkSummary.from_dict(r.summary) for r in results]
         merged = FleetChunkSummary.merge_all(summaries)
     wall = time.perf_counter() - started
@@ -192,6 +221,5 @@ def run_fleet(
         vectorized=vectorized,
         peak_rss=peak_rss_bytes(include_children=not executor.in_process),
         metrics=executor.metrics.to_dict(),
-        phases=profiler.as_dict(),
         executor_stats=executor.stats,
     )

@@ -28,8 +28,9 @@ __all__ = ["FLEET_CACHE_VERSION", "FleetSpec", "FleetChunkSpec", "fleet_supports
 #: v2: peres/etime/adaptive/fixed_batch gained vectorized kernels, so
 #: configurations that previously cached scalar-fallback summaries now
 #: run the fleet engine (identical within tolerance, not bit-for-bit).
-#: v3: channel_aware gained a vectorized kernel (the last scalar-only
-#: strategy), moving its cached summaries off the fallback path too.
+#: v3: channel_aware gained a vectorized kernel, moving its cached
+#: summaries off the fallback path too.  (lazy_circuit, harvest_lazy,
+#: common_deadline and aoi_download have no kernel and still fall back.)
 FLEET_CACHE_VERSION = 3
 
 _BANDWIDTHS = ("wuhan", "constant")

@@ -353,9 +353,9 @@ class StrategyEntry:
     ``builder(scenario, **params)`` builds the scalar strategy; its
     signature is the only home of the parameter defaults.  ``kernel`` is
     a lazy ``"module:attr"`` reference (this module never imports NumPy)
-    to ``kernel(workload, table, power_model, *, profiler=None, **kw)``,
-    whose keyword-only ``kw`` are the builder parameters it implements;
-    ``None`` means the strategy runs the scalar engine at fleet scale.
+    to ``kernel(workload, table, power_model, **kw)``, whose keyword-only
+    ``kw`` are the builder parameters it implements; ``None`` means the
+    strategy runs the scalar engine at fleet scale.
     """
 
     builder: Callable[..., Any]
@@ -454,7 +454,7 @@ def _resolve_kernel(ref: str) -> Tuple[Callable[..., Any], Tuple[str, ...]]:
     takes = tuple(
         p.name
         for p in inspect.signature(kernel).parameters.values()
-        if p.kind is inspect.Parameter.KEYWORD_ONLY and p.name != "profiler"
+        if p.kind is inspect.Parameter.KEYWORD_ONLY
     )
     return kernel, takes
 

@@ -111,19 +111,31 @@ class TestFleetCommand:
         import json
 
         out = tmp_path / "fleet.json"
+        metrics_out = tmp_path / "metrics.json"
         code = main(
             ["fleet", "--devices", "2", "--chunk-size", "2",
-             "--horizon", "300", "--out", str(out)]
+             "--horizon", "300", "--out", str(out),
+             "--metrics-out", str(metrics_out)]
         )
         assert code == 0
         phases = json.loads(out.read_text())["phases"]
         assert set(phases) == {"channel_publish", "simulate", "aggregate"}
-        for slot in phases.values():
+        metrics = json.loads(metrics_out.read_text())
+        for name, slot in phases.items():
+            assert set(slot) == {"wall_s", "cpu_s", "calls"}
             assert slot["calls"] == 1
             assert slot["wall_s"] >= 0.0 and slot["cpu_s"] >= 0.0
+            wall = metrics[f"fleet.phase.{name}_s"]
+            assert slot["wall_s"] == wall["sum"]
+            assert slot["calls"] == wall["count"]
+            assert slot["cpu_s"] == metrics[f"fleet.phase.{name}_cpu_s"]["sum"]
         printed = capsys.readouterr().out
         assert "phases:" in printed
-        assert printed.index("channel_publish") < printed.index("aggregate")
+        assert (
+            printed.index("channel_publish")
+            < printed.index("simulate ")
+            < printed.index("aggregate")
+        )
 
     def test_strategy_params_reach_the_engine(self, tmp_path, capsys):
         code = main(

@@ -15,9 +15,13 @@ the full-length (2h-horizon, default-parameter) sweep while the
 conformance suite covers each row's declared parameter sets.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.bandwidth.synth import wuhan_bandwidth_model
 from repro.core.packet import Packet, reset_packet_ids
 from repro.core.profiles import weibo_profile
 from repro.obs import (
@@ -31,6 +35,9 @@ from repro.obs import (
 from repro.obs.events import app_cost_table
 from repro.obs.tracer import emit_simulation_trace
 from repro.sim.engine import Simulation
+from repro.sim.fleet.channel import ChannelTable
+from repro.sim.fleet.engine import simulate_fleet_chunk
+from repro.sim.fleet.workload import synthesize_fleet
 from repro.sim.parallel.specs import StrategySpec
 from repro.sim.runner import default_scenario
 
@@ -186,3 +193,26 @@ class TestTracerIsPostRun:
                 app_costs=costs,
             )
         assert first.events == second.events
+
+
+class TestFleetSubPhases:
+    """The eTrain-family kernels time their sub-phases into the active
+    registry, and the timing leaves the chunk's raw arrays untouched."""
+
+    SUB_PHASES = ("setup", "queue_updates", "decision", "heartbeats", "finalize")
+
+    @pytest.mark.parametrize("strategy", ["etrain", "adaptive", "channel_aware"])
+    def test_sub_phases_recorded_and_raw_unchanged(self, strategy):
+        table = ChannelTable.from_model(wuhan_bandwidth_model(), 1800.0)
+        workload = synthesize_fleet(4, 1800.0, 7, phase_mode="random")
+        plain = simulate_fleet_chunk(workload, table, strategy=strategy)
+        with metrics_scope() as registry:
+            timed = simulate_fleet_chunk(workload, table, strategy=strategy)
+        metrics = registry.to_dict()
+        for phase in self.SUB_PHASES:
+            hist = metrics[f"fleet.phase.etrain.{phase}_s"]
+            assert hist["count"] == 1
+            assert hist["sum"] >= 0.0
+        assert metrics["fleet.phase.etrain.rounds"]["value"] > 0
+        for f in dataclasses.fields(plain):
+            assert np.array_equal(getattr(timed, f.name), getattr(plain, f.name)), f.name
