@@ -12,9 +12,15 @@ import json
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.fleet.aggregate import FleetChunkSummary
 from repro.sim.fleet.channel import ChannelTable, SharedChannel
-from repro.sim.fleet.runner import FleetRunResult, peak_rss_bytes, run_fleet
+from repro.sim.fleet.runner import (
+    FleetRunResult,
+    _phase,
+    peak_rss_bytes,
+    run_fleet,
+)
 from repro.sim.fleet.spec import FleetChunkSpec, FleetSpec, fleet_supports
 from repro.sim.parallel.executor import ExperimentExecutor
 from repro.sim.parallel.specs import run_job
@@ -179,6 +185,66 @@ def test_run_fleet_caches_chunks(tmp_path):
     assert warm.summary.energy_total_j == pytest.approx(
         cold.summary.energy_total_j, rel=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# phase timings: fleet.phase.* histograms in the executor's registry
+# ---------------------------------------------------------------------------
+
+
+def test_phase_observes_wall_and_cpu_and_accumulates_calls():
+    registry = MetricsRegistry()
+    for _ in range(3):
+        with _phase(registry, "simulate"):
+            sum(range(1000))
+    metrics = registry.to_dict()
+    assert set(metrics) == {"fleet.phase.simulate_s", "fleet.phase.simulate_cpu_s"}
+    for name in metrics:
+        assert metrics[name]["count"] == 3
+        assert metrics[name]["sum"] >= 0.0
+
+
+def test_phase_is_recorded_when_the_block_raises():
+    registry = MetricsRegistry()
+    with pytest.raises(RuntimeError):
+        with _phase(registry, "channel_publish"):
+            raise RuntimeError("boom")
+    metrics = registry.to_dict()
+    assert metrics["fleet.phase.channel_publish_s"]["count"] == 1
+    assert metrics["fleet.phase.channel_publish_cpu_s"]["count"] == 1
+
+
+def test_run_fleet_phases_are_a_view_of_the_phase_histograms():
+    result = run_fleet(small_spec())
+    table = result.phases
+    assert list(table) == ["channel_publish", "simulate", "aggregate"]
+    for name, slot in table.items():
+        assert slot == {
+            "wall_s": result.metrics[f"fleet.phase.{name}_s"]["sum"],
+            "cpu_s": result.metrics[f"fleet.phase.{name}_cpu_s"]["sum"],
+            "calls": 1,
+        }
+    # Each access builds a fresh table: mutating one leaves the run intact.
+    table["simulate"]["calls"] = 99
+    del table["aggregate"]
+    assert result.phases["simulate"]["calls"] == 1
+    assert "aggregate" in result.phases
+
+
+def test_run_fleet_sub_phases_count_chunks_cold_and_warm(tmp_path):
+    # The kernel's sub-phases are per-chunk job metrics, so a warm cache
+    # replays them; the orchestration phases are observed once per run.
+    spec = small_spec()
+    cold = run_fleet(spec, cache_dir=tmp_path / "cache")
+    warm = run_fleet(spec, cache_dir=tmp_path / "cache")
+    assert warm.cached_chunks == warm.chunks == 2
+    for result in (cold, warm):
+        for sub in ("setup", "queue_updates", "decision", "heartbeats", "finalize"):
+            assert result.metrics[f"fleet.phase.etrain.{sub}_s"]["count"] == 2
+        assert all(slot["calls"] == 1 for slot in result.phases.values())
+    rounds = "fleet.phase.etrain.rounds"
+    assert cold.metrics[rounds]["value"] > 0
+    assert warm.metrics[rounds] == cold.metrics[rounds]
 
 
 def test_run_fleet_peres_vectorized():
