@@ -84,12 +84,6 @@ class PerESStrategy(TransmissionStrategy):
     def waiting_count(self) -> int:
         return len(self._queue)
 
-    # PerES keeps the base (never-idle, no-horizon) protocol on purpose:
-    # every decide() records a channel sample into the estimator, and the
-    # running average those samples feed shapes all later quality ratios,
-    # so no decision slot may be skipped.  The engine detects this and
-    # runs the dense reference loop directly.
-
     def instantaneous_cost(self, now: float) -> float:
         """P(t) over the internal queue."""
         return sum(

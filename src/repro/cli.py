@@ -643,11 +643,6 @@ def build_record_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--power-model", default="galaxy_s4_3g")
     parser.add_argument(
-        "--dense",
-        action="store_true",
-        help="run the dense reference loop instead of the event engine",
-    )
-    parser.add_argument(
         "--trace-out", required=True, help="output JSONL trace path"
     )
     parser.add_argument(
@@ -700,7 +695,6 @@ def run_record_command(argv: List[str]) -> int:
             bandwidth=scenario.bandwidth,
             horizon=scenario.horizon,
             slot=scenario.slot,
-            dense=args.dense,
             recorder=recorder,
             trace_app_costs=app_cost_table(scenario.profiles),
         )

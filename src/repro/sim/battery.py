@@ -179,9 +179,6 @@ class HarvestingBattery:
         """Joules one standalone burst of ``size_bytes`` costs."""
         return self.burst_cost_j + self.per_byte_j * size_bytes
 
-    def can_afford(self, t: float, size_bytes: int) -> bool:
-        return self.stored_at(t) >= self.tx_cost(size_bytes)
-
     def try_spend(self, t: float, size_bytes: int) -> bool:
         """Drain one burst's cost at ``t`` if the store covers it.
 

@@ -1,8 +1,9 @@
 """The per-slot decision kernel of both engine loops.
 
-`repro.sim.engine` has two loops (dense reference and event-horizon)
-whose per-slot decision/transmit body must stay bit-identical.  This
-module is that body:
+`repro.sim.engine` runs every simulation through its event-horizon
+loop; its dense loop is the reference the equivalence tests compare
+against.  The per-slot decision/transmit body of the two must stay
+bit-identical, and this module is that body:
 
 * :func:`is_decision_slot` — the decision-granularity predicate, exact
   float semantics shared by every caller;

@@ -16,6 +16,10 @@ and a row automatically enrolls the strategy in:
    (vectorized kernel when registered, scalar fallback otherwise)
    matches unchunked per-device scalar simulation, for every variant.
 
+Plus the production-path pin: with the dense loop made to raise, a
+batch run, a serve session and the fleet scalar reference still
+complete for every strategy, so certification 1 compares two loops.
+
 Plus param validation: the scalar build, the fleet spec and serve
 ``batch`` accept every fixture variant and reject every row of
 ``INVALID_PARAMS`` alike.
@@ -33,14 +37,18 @@ from typing import List
 
 import pytest
 
+from repro.bandwidth.synth import wuhan_bandwidth_model
 from repro.baselines.base import TransmissionStrategy
 from repro.core.packet import Packet, reset_packet_ids
 from repro.obs import verify_trace
+from repro.serve.loadgen import device_frames
 from repro.serve.server import ServeApp, ServeConfig
 from repro.sim.engine import Simulation
+from repro.sim.fleet.reference import simulate_reference_chunk
 from repro.sim.fleet.spec import FleetSpec
+from repro.sim.fleet.workload import synthesize_fleet
 from repro.sim.parallel.specs import STRATEGY_BUILDERS, StrategySpec
-from repro.sim.runner import default_scenario
+from repro.sim.runner import default_scenario, run_strategy
 
 from tests.strategy_conformance import (
     ALL_STRATEGIES,
@@ -104,6 +112,26 @@ class TestDenseVsEvent:
         scenario.slot = 0.7
         dense, event = run_both(name, scenario, fixture.param_dict)
         assert_bit_identical(dense, event)
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGY_BUILDERS))
+def test_no_production_path_reaches_the_dense_loop(name, monkeypatch):
+    """The dense loop is only the oracle: a batch run, a serve session
+    and the fleet scalar reference all run the event loop."""
+
+    def dense_loop(self, stop):
+        raise AssertionError(f"{name} reached the dense loop")
+
+    monkeypatch.setattr(Simulation, "_advance_dense", dense_loop)
+    scenario = default_scenario(seed=0, horizon=600.0)
+    run_strategy(STRATEGY_BUILDERS[name](scenario), scenario)
+
+    workload = synthesize_fleet(1, 450.0, seed=7)
+    app = ServeApp(ServeConfig())
+    for frame in device_frames(workload, 0, strategy=name):
+        response = app.handle(frame)
+        assert response["ok"], response
+    simulate_reference_chunk(workload, wuhan_bandwidth_model(), strategy=name)
 
 
 class TestObservabilityIsFree:
