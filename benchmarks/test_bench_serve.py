@@ -14,10 +14,20 @@ admission control, the whole serving stack.  Three properties hold:
 * bulk replay beats per-event streaming of the same population.
 
 Each side keeps its best of ``repeats``; a fresh server per replay
-starts from an empty session store.  The ratio floors are 0.75x the
-ratios recorded when serving landed (0.32x etrain, 0.60x peres, 2.37x
-bulk).  Server boot, workload synthesis and frame building are outside
-the timed window.
+starts from an empty session store.  Served and batch runs alternate, so
+a host that changes speed mid-test slows both sides of a ratio alike.
+The ratio floors are 0.75x the ratios recorded when serving landed
+(0.32x etrain, 0.60x peres, 2.37x bulk).  Server boot, workload
+synthesis and frame building are outside the timed window.
+
+PerES's batch side runs the dense reference loop
+(``run_strategy(..., dense=True)``), the loop both of its sides ran when
+its 0.60x was recorded.  Served PerES runs the event loop, which steps
+it slot by slot about 7% faster than dense; on the same loop that
+saving lifts the batch rate more than the served rate (which adds a
+fixed cost per event) and would fail the floor with no change to the
+serving stack.  Against the dense loop, which production never runs,
+only a costlier served path lowers the ratio.
 """
 
 from __future__ import annotations
@@ -29,10 +39,18 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.bandwidth.synth import wuhan_bandwidth_model
+from repro.radio.power_model import GALAXY_S4_3G
 from repro.serve.loadgen import LoadgenConfig, run_loadgen
 from repro.serve.server import EtrainServer, ServeConfig
-from repro.sim.fleet.reference import simulate_reference_chunk
+from repro.sim.fleet.reference import (
+    _device_scenario,
+    reference_profiles,
+    simulate_reference_chunk,
+    summarize_scalar_result,
+)
 from repro.sim.fleet.workload import synthesize_fleet
+from repro.sim.parallel.specs import STRATEGY_BUILDERS
+from repro.sim.runner import run_strategy
 
 #: Served decisions/s every gated eTrain case must reach.
 DECISIONS_FLOOR = 10_000.0
@@ -57,15 +75,33 @@ def _best_stream(repeats: int, **config) -> dict:
     return max(replays, key=lambda r: r["decisions_per_s"])
 
 
-def _served_vs_batch(strategy: str, devices: int, repeats: int):
-    """(served decisions/s, batch reference decisions/s) at 450 s, seed 7."""
-    served = _best_stream(repeats, strategy=strategy, devices=devices)
+def _dense_reference_chunk(workload, bw, strategy: str) -> None:
+    """``simulate_reference_chunk``'s per-device work on the dense loop."""
+    profiles = reference_profiles(workload)
+    for d in range(workload.n_devices):
+        scenario = _device_scenario(workload, d, profiles, bw, GALAXY_S4_3G)
+        strat = STRATEGY_BUILDERS[strategy](scenario)
+        summarize_scalar_result(run_strategy(strat, scenario, dense=True), profiles)
+
+
+def _served_vs_batch(strategy: str, devices: int, repeats: int, dense: bool):
+    """(served decisions/s, batch reference decisions/s) at 450 s, seed 7.
+
+    ``dense`` runs the batch reference on the dense loop.
+    """
     workload = synthesize_fleet(devices, 450.0, seed=7)
     bw = wuhan_bandwidth_model()
+    served = {"decisions_per_s": 0.0}
     batch_s = float("inf")
     for _ in range(repeats):
+        replay = _replay(strategy=strategy, devices=devices)
+        if replay["decisions_per_s"] > served["decisions_per_s"]:
+            served = replay
         t0 = time.perf_counter()
-        simulate_reference_chunk(workload, bw, strategy=strategy)
+        if dense:
+            _dense_reference_chunk(workload, bw, strategy)
+        else:
+            simulate_reference_chunk(workload, bw, strategy=strategy)
         batch_s = min(batch_s, time.perf_counter() - t0)
     return served["decisions_per_s"], served["decisions"] / batch_s
 
@@ -84,18 +120,21 @@ def _bulk_vs_stream(repeats: int, **config):
 @pytest.mark.smoke
 @pytest.mark.serve
 @pytest.mark.parametrize(
-    "strategy, devices, rate_floor, ratio_floor",
-    [("etrain", 8, DECISIONS_FLOOR, 0.24), ("peres", 4, 0.0, 0.45)],
+    "strategy, devices, rate_floor, ratio_floor, dense",
+    [("etrain", 8, DECISIONS_FLOOR, 0.24, False), ("peres", 4, 0.0, 0.45, True)],
     ids=["etrain", "peres"],
 )
 def test_served_rate_vs_batch(
-    benchmark, report, strategy, devices, rate_floor, ratio_floor
+    benchmark, report, strategy, devices, rate_floor, ratio_floor, dense
 ):
-    served, batch = run_once(benchmark, _served_vs_batch, strategy, devices, 2)
+    served, batch = run_once(
+        benchmark, _served_vs_batch, strategy, devices, 2, dense
+    )
+    loop = "dense" if dense else "event"
     report(
         f"Serve [{strategy}, {devices} devices x 450 s]\n"
         f"  served {served:9.0f} decisions/s (floor {rate_floor:.0f})\n"
-        f"  batch  {batch:9.0f} decisions/s\n"
+        f"  batch  {batch:9.0f} decisions/s ({loop} loop)\n"
         f"  served/batch {served / batch:.3f}x (floor {ratio_floor}x)"
     )
     assert served >= rate_floor
