@@ -41,6 +41,9 @@ __all__ = ["PerESStrategy", "peres_fleet_kernel"]
 #: of the last this-many released packets, scalar and kernel alike.
 _V_WINDOW = 50
 
+#: Most slots one round of the fleet kernel tests per device.
+_BLOCK = 16
+
 
 class PerESStrategy(TransmissionStrategy):
     """Deadline-aware, channel-aware Lyapunov scheduling with dynamic V."""
@@ -141,33 +144,52 @@ class PerESStrategy(TransmissionStrategy):
 def peres_fleet_kernel(
     workload, table, power_model, *, omega, v_init, lag, noise, est_seed
 ):
-    """Batched PerES over the device axis of one fleet chunk.
+    """Batched PerES over a fleet chunk, one round per device event.
 
-    Per slot the kernel evaluates ``P(t) · quality >= V`` and the
-    deadline-pressure override for every device at once:
+    Between two deliveries a device's queue only waits, so its state
+    changes at deliveries and releases alone.  Each round moves every
+    live device at once: a device at a delivery slot first takes that
+    slot's packets, then every device tests the slots from its cursor
+    up to its next delivery (at most :data:`_BLOCK` of them, as one
+    (devices, slots) array) and releases at the first that fires, or
+    moves its cursor to the end of the block.  A released device jumps
+    to its next delivery, since an empty queue never fires.  The loop
+    so runs once per event of the busiest device, not once per slot.
 
-    * ``P(t)`` comes from the same closed-form pre/post-deadline
-      aggregates the eTrain kernel maintains (sums round differently
-      from the scalar sequential additions by ~1e-13, reset to exact
-      zero at every whole-queue release);
+    A slot fires when ``P(t) · quality >= V`` or under deadline
+    pressure, with the scalar rule's exact floats:
+
+    * no queued packet is ever past its deadline: the pressure test of
+      slot ``t − 1`` is the packet's own ``(t − arrival) > deadline``
+      test run on the oldest packet of its app, and it releases the
+      whole queue.  So ``P(t)`` is the pre-deadline part of the eTrain
+      kernel's closed form alone, ``(n·t − s)/deadline`` per app over
+      the running count and arrival sum (exactly 0 for mail), folded
+      in app order;
     * the quality ratio is the shared per-chunk estimator series;
-    * deadline pressure reduces to the per-app queue *heads* (the oldest
-      packet maximises delay, and the cost deadline is per-app), an
-      exact reduction of the scalar any-packet scan;
-    * the dynamic per-device ``V`` adapts on releases from a (D, 50)
-      left-aligned window of recent released costs, accumulated
-      column-sequentially so the mean matches Python's left-fold sum.
+    * deadline pressure first holds one slot before the transition slot
+      of the oldest packet of some app (the oldest packet maximises
+      delay, and the cost deadline is per-app), an exact reduction of
+      the scalar any-packet scan;
+    * the dynamic per-device ``V`` adapts on each release from the
+      costs of the device's last 50 released packets, which end its
+      released prefix of the queue order.  They are gathered into a
+      right-aligned (devices, 50) array and summed column by column,
+      so the mean matches Python's left-fold sum (the leading zero
+      padding adds exactly nothing).
 
     Releases are whole-queue, so each device's backlog stays a
     contiguous range of its arrival-ordered packets and the release
     slots feed the shared loop-free burst builder
-    (``requires_warm_radio=False``).
+    (``requires_warm_radio=False``).  Inside a
+    :func:`~repro.obs.metrics.metrics_scope` the round count is added to
+    ``fleet.phase.peres.rounds``.
     """
     import numpy as np
 
+    from repro.obs.metrics import current_registry
     from repro.sim.fleet.engine import (
         _build_loopfree,
-        _cost_aggregate,
         _csr_expand,
         _delivery_slots,
         _flat_packets,
@@ -184,11 +206,12 @@ def peres_fleet_kernel(
 
     A, D = workload.n_apps, workload.n_devices
     n_slots = fleet_slot_count(workload.horizon)
-    pk_app, pk_dev, pk_arr, pk_size, _ = _flat_packets(workload)
+    pk_app, pk_dev, pk_arr, pk_size, base = _flat_packets(workload)
     kinds = [int(k) for k in workload.cost_kinds]
     dls = [float(d) for d in workload.deadlines]
 
-    # PerES decides every 1 s slot; one shared quality sample per slot.
+    # PerES decides every 1 s slot; one shared quality sample per slot,
+    # padded with zeros (never >= V) for the slots a block runs past.
     q = quality_series(
         table,
         np.arange(n_slots, dtype=np.float64),
@@ -196,145 +219,133 @@ def peres_fleet_kernel(
         noise=noise,
         seed=est_seed,
     )
+    q = np.append(q, np.zeros(_BLOCK))
 
-    garr = [workload.arrivals[a] for a in range(A)]
-    gdev = [
-        np.repeat(
-            np.arange(D, dtype=np.int64), np.diff(workload.offsets[a])
-        )
-        for a in range(A)
-    ]
-
-    # Per-slot buckets: deliveries by k_d, pre->post transitions by k_p.
-    dorder, dbnd, torder, tbnd = [], [], [], []
-    for a in range(A):
-        kd_a = _delivery_slots(garr[a], n_slots)
-        o = np.argsort(kd_a, kind="stable")
-        dorder.append(o)
-        dbnd.append(np.searchsorted(kd_a[o], np.arange(n_slots + 1)))
-        kc = np.minimum(_transition_slots(garr[a], dls[a]), n_slots + 2)
-        o2 = np.argsort(kc, kind="stable")
-        torder.append(o2)
-        tbnd.append(np.searchsorted(kc[o2], np.arange(n_slots + 3)))
-
-    # Queue-ordered flat packet view (delivery order: arrival, then the
-    # packet-id tie-break — alphabetical app, then app-major position).
-    alpha = np.argsort(np.argsort(np.asarray(workload.app_ids)))
-    perm = np.lexsort(
-        (np.arange(pk_arr.size, dtype=np.int64), alpha[pk_app], pk_arr, pk_dev)
-    )
+    # Queue-ordered packets (delivery order: arrival, then the packet-id
+    # tie-break — alphabetical app, then app-major position).  A stable
+    # sort of the alphabetical app blocks by (device, delivery slot)
+    # merges A sorted runs; only events that hold packets of two apps
+    # then need their arrivals sorted.  Each distinct (device, delivery
+    # slot) key is one delivery event, the last of a device possibly at
+    # ``n_slots`` (never delivered).
+    key_mod = n_slots + 1
+    pkey = pk_dev * key_mod + _delivery_slots(pk_arr, n_slots)
+    by_name = np.argsort(np.asarray(workload.app_ids), kind="stable")
+    perm = np.concatenate([np.arange(base[a], base[a + 1]) for a in by_name])
+    perm = perm[np.argsort(pkey[perm], kind="stable")]
+    skey = pkey[perm]
+    first = np.diff(skey, prepend=-1) != 0
+    ekey = skey[first]
+    e_of = np.cumsum(first) - 1
+    counts = np.bincount(
+        e_of * A + pk_app[perm], minlength=ekey.size * A
+    ).reshape(-1, A)
+    mixed = ((counts > 0).sum(axis=1) > 1)[e_of]
+    if mixed.any():
+        sub = perm[mixed]
+        perm[mixed] = sub[np.lexsort((pk_arr[sub], e_of[mixed]))]
     app_s = pk_app[perm]
     arr_s = pk_arr[perm]
-    dev_s = pk_dev[perm]
-    seg = np.searchsorted(dev_s, np.arange(D + 1, dtype=np.int64))
-    qhead = seg[:-1].copy()
-    qtail = seg[:-1].copy()
-    r_s = np.full(dev_s.size, n_slots, dtype=np.int64)
+    # One row per event: its queue range in ``perm``, the first slot its
+    # packets put the queue under deadline pressure, the device's next
+    # delivery slot after it, and its packet count per app.
+    e_dev, e_slot = np.divmod(ekey, key_mod)
+    q_bnd = np.append(0, np.cumsum(counts.sum(axis=1)))
+    press_s = _transition_slots(arr_s, workload.deadlines[app_s]) - 1
+    last = np.diff(e_dev, append=D) != 0
+    ev_tab = np.empty((ekey.size, 4 + A), dtype=np.int64)
+    ev_tab[:, 0], ev_tab[:, 1] = q_bnd[:-1], q_bnd[1:]
+    ev_tab[:, 2] = np.minimum.reduceat(press_s, q_bnd[:-1])
+    ev_tab[:, 3] = np.where(last, n_slots, np.roll(e_slot, -1))
+    ev_tab[:, 4:] = counts
+    dev_bnd = np.searchsorted(e_dev, np.arange(D + 1))
+    ev = dev_bnd[:-1].copy()  # each device's next event
+    r_s = np.full(perm.size, n_slots, dtype=np.int64)
+    cost_s = np.zeros(perm.size)  # released packets' costs, queue order
 
-    # State: in-set cost aggregates, per-app queue pointers, dynamic V.
-    pre_n = np.zeros((A, D))
-    pre_s = np.zeros((A, D))
-    post_n = np.zeros((A, D))
-    post_s = np.zeros((A, D))
-    head = [workload.offsets[a][:-1].copy() for a in range(A)]
-    tail = [workload.offsets[a][:-1].copy() for a in range(A)]
+    # State: pre-deadline cost aggregates per (device, app), queue range
+    # in ``perm``, pressure slot, dynamic V, next delivery, slot cursor.
+    pre_n = np.zeros((D, A))
+    pre_s = np.zeros((D, A))
+    q_first = q_bnd[ev]
+    qhead = q_first.copy()
+    qtail = q_first.copy()
+    press = np.full(D, n_slots, dtype=np.int64)
     v = np.full(D, v_init)
-    win = np.zeros((D, _V_WINDOW))
-    wlen = np.zeros(D, dtype=np.int64)
     # Same expressions the scalar _adapt_v computes from ETA.
     v_down = 1.0 - PerESStrategy.ETA
     v_up = 1.0 + PerESStrategy.ETA
     v_min, v_max = PerESStrategy.V_MIN, PerESStrategy.V_MAX
     cols = np.arange(_V_WINDOW)
+    cost_apps = [a for a in range(A) if kinds[a] != 0]
+    nxt = np.where(ev < dev_bnd[1:], np.append(e_slot, n_slots)[ev], n_slots)
+    cur = nxt.copy()
 
-    for i in range(n_slots):
-        t = float(i)
-        u = t + 1.0
-        # 1. deliveries (arrival <= t): always pre-deadline on entry.
-        for a in range(A):
-            sl = dorder[a][dbnd[a][i] : dbnd[a][i + 1]]
-            if sl.size:
-                dv = gdev[a][sl]
-                np.add.at(pre_n[a], dv, 1.0)
-                np.add.at(pre_s[a], dv, garr[a][sl])
-                np.add.at(tail[a], dv, 1)
-                np.add.at(qtail, dv, 1)
-        # 2. pre->post transitions for still-queued packets.
-        for a in range(A):
-            sl = torder[a][tbnd[a][i] : tbnd[a][i + 1]]
-            if sl.size:
-                dv = gdev[a][sl]
-                act = sl >= head[a][dv]
-                if act.any():
-                    g = sl[act]
-                    dv = dv[act]
-                    ar = garr[a][g]
-                    np.add.at(pre_n[a], dv, -1.0)
-                    np.add.at(pre_s[a], dv, -ar)
-                    np.add.at(post_n[a], dv, 1.0)
-                    np.add.at(post_s[a], dv, ar)
-        # 3. decision: P(t)·quality >= V, or deadline pressure.
-        has_q = qtail > qhead
-        if not has_q.any():
-            continue
-        P = np.zeros(D)
-        pressure = np.zeros(D, dtype=bool)
-        for a in range(A):
-            P += _cost_aggregate(
-                kinds[a], dls[a], t, pre_n[a], pre_s[a], post_n[a], post_s[a]
-            )
-            h = head[a]
-            has = h < tail[a]
-            if has.any():  # guards the gather when app a has no packets
-                ar_h = garr[a][np.minimum(h, garr[a].size - 1)]
-                pressure |= has & ((u - ar_h) > dls[a])
-        fired = np.nonzero(has_q & ((P * q[i] >= v) | pressure))[0]
-        if not fired.size:
-            continue
-        # 4. whole-queue release at slot i; record costs at ``now``.
-        lo, hi = qhead[fired], qtail[fired]
-        idx, lens = _csr_expand(lo, hi)
-        r_s[idx] = i
-        costs = np.empty(idx.size)
-        rel_app = app_s[idx]
-        rel_d = t - arr_s[idx]
-        for a in range(A):
-            m = rel_app == a
-            if m.any():
-                costs[m] = _head_spec(kinds[a], dls[a], rel_d[m])
-        # 5. slide the (D, 50) released-cost windows and adapt V.
-        F = fired.size
-        k = lens
-        m_new = np.minimum(k, _V_WINDOW)
-        o_old = np.minimum(wlen[fired], _V_WINDOW - m_new)
-        newlen = o_old + m_new
-        off = np.concatenate(([0], np.cumsum(k)[:-1]))
-        take_old = cols[None, :] < o_old[:, None]
-        take_new = ~take_old & (cols[None, :] < newlen[:, None])
-        old_pos = (wlen[fired] - o_old)[:, None] + cols[None, :]
-        new_pos = (off + k - m_new - o_old)[:, None] + cols[None, :]
-        old_g = win[fired[:, None], np.clip(old_pos, 0, _V_WINDOW - 1)]
-        new_g = costs[np.clip(new_pos, 0, max(costs.size - 1, 0))]
-        fresh = np.where(take_old, old_g, np.where(take_new, new_g, 0.0))
-        win[fired] = fresh
-        wlen[fired] = newlen
-        # Column-sequential accumulation == Python's left-fold sum.
-        acc = np.zeros(F)
-        for c in range(_V_WINDOW):
-            acc = acc + np.where(c < newlen, fresh[:, c], 0.0)
-        mean = acc / newlen
-        vf = np.where(mean > omega, v[fired] * v_down, v[fired] * v_up)
-        v[fired] = np.minimum(np.maximum(vf, v_min), v_max)
-        # 6. exact queue reset (mirrors the scalar queue emptying).
-        qhead[fired] = qtail[fired]
-        for a in range(A):
-            head[a][fired] = tail[a][fired]
-            pre_n[a][fired] = 0.0
-            pre_s[a][fired] = 0.0
-            post_n[a][fired] = 0.0
-            post_s[a][fired] = 0.0
+    rounds = 0
+    live = np.flatnonzero(cur < n_slots)
+    while live.size:
+        rounds += 1
+        c = cur[live]
+        # 1. deliveries at the cursor (arrival <= t): always pre-deadline
+        dv = live[nxt[live] == c]
+        if dv.size:
+            de = ev[dv]
+            row = ev_tab[de]
+            idx, lens = _csr_expand(row[:, 0], row[:, 1])
+            cells = np.repeat(dv * A, lens) + app_s[idx]
+            np.add.at(pre_s.reshape(-1), cells, arr_s[idx])
+            pre_n[dv] += row[:, 4:]
+            qtail[dv] = row[:, 1]
+            press[dv] = np.minimum(press[dv], row[:, 2])
+            nxt[dv] = row[:, 3]
+            ev[dv] = de + 1
+        # 2. decision block [c, end): P(t)·quality >= V, or pressure
+        n_l, s_l, p_l = pre_n[live], pre_s[live], press[live]
+        x_l = nxt[live]
+        end = np.minimum(np.minimum(x_l, c + _BLOCK), p_l + 1)
+        ts = c[:, None] + np.arange(int((end - c).max()))
+        tf = ts.astype(np.float64)
+        P = np.zeros(ts.shape)
+        for a in cost_apps:
+            P += (n_l[:, a, None] * tf - s_l[:, a, None]) / dls[a]
+        fire = (P * q[ts] >= v[live][:, None]) & (ts < end[:, None])
+        at = fire.argmax(axis=1)
+        f_slot = np.where(fire[np.arange(at.size), at], c + at, p_l)
+        ok = f_slot < end
+        cur[live] = np.where(ok, x_l, end)
+        fired = live[ok]
+        if fired.size:
+            i_f = f_slot[ok]
+            # 3. whole-queue release; record costs at the release slot
+            idx, lens = _csr_expand(qhead[fired], qtail[fired])
+            r_s[idx] = np.repeat(i_f, lens)
+            rel_app = app_s[idx]
+            rel_d = np.repeat(i_f.astype(np.float64), lens) - arr_s[idx]
+            for a in range(A):
+                m = rel_app == a
+                if m.any():
+                    cost_s[idx[m]] = _head_spec(kinds[a], dls[a], rel_d[m])
+            # 4. adapt V on the mean cost of the device's last <= 50
+            # released packets (a right-aligned window, zero-padded)
+            hi = qtail[fired]
+            pos = (hi - _V_WINDOW)[:, None] + cols
+            lo = q_first[fired]
+            window = np.where(pos >= lo[:, None], cost_s[np.maximum(pos, 0)], 0.0)
+            total = np.add.accumulate(window, axis=1)[:, -1]
+            mean = total / np.minimum(hi - lo, _V_WINDOW)
+            vf = np.where(mean > omega, v[fired] * v_down, v[fired] * v_up)
+            v[fired] = np.minimum(np.maximum(vf, v_min), v_max)
+            # 5. exact queue reset (mirrors the scalar queue emptying).
+            qhead[fired] = qtail[fired]
+            pre_n[fired] = 0.0
+            pre_s[fired] = 0.0
+            press[fired] = n_slots
+        live = live[cur[live] < n_slots]
 
-    release = np.empty(dev_s.size, dtype=np.int64)
+    registry = current_registry()
+    if registry is not None:
+        registry.counter("fleet.phase.peres.rounds").inc(rounds)
+    release = np.empty(perm.size, dtype=np.int64)
     release[perm] = r_s
     return _build_loopfree(
         workload, table, release, pk_app, pk_dev, pk_arr, pk_size, n_slots

@@ -300,6 +300,77 @@ class TestPerES:
             PerESStrategy(self.profiles(), estimator(), v_init=0.0)
 
 
+#: PerES configurations for the no-late-release invariant.  With
+#: ``v_init=1e5`` V starts far above any P·quality, so deadline pressure
+#: makes the releases, each on the last slot before a deadline passes.
+NEVER_LATE_PARAMS = [
+    {},
+    {"v_init": 1e5},
+    {"omega": 0.1},
+    {"omega": 2.0, "v_init": 5.0},
+    {"lag": 0.0, "noise": 0.0},
+]
+
+
+@pytest.mark.parametrize("params", NEVER_LATE_PARAMS, ids=repr)
+class TestPerESNeverReleasesLate:
+    """No PerES decision releases a packet already past its app's deadline.
+
+    Deadline pressure at slot ``t − 1`` runs the packet's own ``(t −
+    arrival) > deadline`` test on the oldest queued packet of its app
+    and releases the whole queue, so no queued packet ever reaches its
+    deadline transition.  The fleet kernel relies on this to keep only
+    pre-deadline cost aggregates.  Packets flushed at the horizon never
+    met a decision and are exempt.
+    """
+
+    def test_scalar_strategy(self, params):
+        from repro.sim.parallel.specs import ScenarioSpec, StrategySpec
+        from repro.sim.runner import run_strategy
+
+        scenario = ScenarioSpec(seed=3).build()
+        s = StrategySpec.make("peres", **params).build(scenario)
+        decide = s.decide
+        slack = []  # deadline − delay of each released packet
+
+        def checked(now, heartbeat_present):
+            released = decide(now, heartbeat_present)
+            slack.extend(s.deadlines[p.app_id] - p.delay_at(now) for p in released)
+            return released
+
+        s.decide = checked
+        run_strategy(s, scenario)
+        assert slack and min(slack) >= 0.0
+        if params.get("v_init") == 1e5:  # pressure releases just in time
+            assert min(slack) < 1.0
+
+    def test_fleet_kernel_release_slots(self, params, monkeypatch):
+        from repro.bandwidth.synth import wuhan_bandwidth_model
+        from repro.sim.fleet import engine
+        from repro.sim.fleet.channel import ChannelTable
+        from repro.sim.fleet.workload import synthesize_fleet
+
+        build = engine._build_loopfree
+        seen = {}
+
+        def capture(w, table, release, *rest):
+            seen["release"] = release
+            return build(w, table, release, *rest)
+
+        monkeypatch.setattr(engine, "_build_loopfree", capture)
+        horizon = 7200.0
+        table = ChannelTable.from_model(wuhan_bandwidth_model(), horizon)
+        w = synthesize_fleet(37, horizon, 7, phase_mode="random")
+        raw = engine.simulate_fleet_chunk(w, table, strategy="peres", params=params)
+        release = seen["release"]
+        decided = release < engine.fleet_slot_count(horizon)  # not flushed
+        slack = raw.deadlines[raw.pk_app] - (release - raw.pk_arr)
+        assert decided.sum() > 0
+        assert slack[decided].min() >= 0.0
+        if params.get("v_init") == 1e5:
+            assert slack[decided].min() < 1.0
+
+
 class TestTailEnder:
     def test_waits_until_earliest_deadline(self):
         s = TailEnderStrategy([weibo_profile()])

@@ -1,9 +1,12 @@
-"""Pinned digests of the eTrain-family kernels' raw chunk output.
+"""Pinned digests of the decision-loop kernels' raw chunk output.
+
+These are the kernels with a per-device decision state: the eTrain
+family (eTrain, channel-aware, adaptive) and PerES.
 
 The fleet-vs-scalar suite checks aggregates to rtol 1e-6; these pins
 hold the raw ``FleetChunkRaw`` arrays themselves — every burst row, in
 order, and every packet's burst — to SHA-256 digests recorded from the
-per-slot implementation of the kernel loop.  Any change to the loop
+per-slot implementation of each kernel loop.  Any change to the loop
 that moves one float, reorders one row or re-points one packet fails
 here, which is what lets the loop be restructured for speed and still
 be called bit-identical.
@@ -49,6 +52,18 @@ PINS = [
      "b15f898ad7b73559ebd560e5ff0913248f47fca0bd3ff259be9b1e594dac577f"),
     (37, "random", "adaptive", {"target_delay": 20.0, "warm_gate": False},
      "e82667a356a2aea6ae483480e058456d49d6bb5c6401f17fa964b91e5186bd74"),
+    (1, "fixed", "peres", None,
+     "071966804c005a472cb011dbfead70ba7be10fc8ad93ef4919147405d66c2f08"),
+    (4, "random", "peres", None,
+     "f3a46609bdf3c268fafa60872ca1379d7da3dc4ec9032b95898eeb68d414623f"),
+    (37, "random", "peres", None,
+     "03f06471ad99842f8278c9446ee0e3f3182d26863a42976d7594f4cd55e958cf"),
+    (37, "random", "peres", {"omega": 0.1},
+     "04f4d5dde688ece256308436c3a8f86631559e173729bd604cd36d187b9fc604"),
+    (37, "random", "peres", {"omega": 2.0, "v_init": 5.0},
+     "341fb057ff8a187ebddea84d74f85081e76944d00b050d7e7fc407cffd581f71"),
+    (37, "random", "peres", {"lag": 0.0, "noise": 0.0},
+     "8f33eeddabc0ad1f5240727479ca363f04fa487987a65058bc266c94d85d842a"),
 ]
 
 _TABLE = {}

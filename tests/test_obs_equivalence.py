@@ -216,3 +216,16 @@ class TestFleetSubPhases:
         assert metrics["fleet.phase.etrain.rounds"]["value"] > 0
         for f in dataclasses.fields(plain):
             assert np.array_equal(getattr(timed, f.name), getattr(plain, f.name)), f.name
+
+    def test_peres_rounds_counted_and_raw_unchanged(self):
+        """The PerES kernel counts its rounds, one per device event of
+        the busiest device: more than none, fewer than the 7 200 slots."""
+        table = ChannelTable.from_model(wuhan_bandwidth_model(), 7200.0)
+        workload = synthesize_fleet(4, 7200.0, 7, phase_mode="random")
+        plain = simulate_fleet_chunk(workload, table, strategy="peres")
+        with metrics_scope() as registry:
+            counted = simulate_fleet_chunk(workload, table, strategy="peres")
+        rounds = registry.to_dict()["fleet.phase.peres.rounds"]["value"]
+        assert 0 < rounds < 7200
+        for f in dataclasses.fields(plain):
+            assert np.array_equal(getattr(counted, f.name), getattr(plain, f.name)), f.name
