@@ -1056,14 +1056,6 @@ def build_fleet_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quiet", action="store_true", help="suppress per-chunk progress"
     )
-    parser.add_argument(
-        "--cleanup-shm",
-        action="store_true",
-        help=(
-            "sweep stale etrain-* shared-memory segments left in /dev/shm "
-            "by killed runs, then exit (no simulation)"
-        ),
-    )
     _add_fault_tolerance_args(parser)
     _add_dist_args(parser)
     return parser
@@ -1077,14 +1069,6 @@ def run_fleet_command(argv: List[str]) -> int:
     from repro.sim.fleet import FleetSpec, run_fleet
 
     args = build_fleet_parser().parse_args(argv)
-    if args.cleanup_shm:
-        from repro.sim.fleet.channel import cleanup_stale_segments
-
-        removed = cleanup_stale_segments()
-        for name in removed:
-            print(f"removed stale shm segment {name}")
-        print(f"swept {len(removed)} stale etrain-* segment(s) from /dev/shm")
-        return 0
     params = {}
     for item in args.param:
         if "=" not in item:

@@ -4,7 +4,7 @@ eTrain's premise is that a mobile system keeps working under hostile
 conditions — missed heartbeats, dead radios, flaky links (Sec. V).  This
 module turns the same philosophy on our own execution layer: it injects
 the failures the fault-tolerant executor must survive — worker crashes,
-worker hangs, torn files, leaked shared-memory segments — and it does so
+worker hangs, torn files — and it does so
 *deterministically*, from a seed, so CI can replay any failure
 bit-for-bit and tests can compute the exact set of injected faults.
 
@@ -22,11 +22,6 @@ Injection sites
   (``max_attempt=1``), so a retrying executor always converges.
 * **Torn files** — :func:`truncate_tail` chops bytes off a JSONL trace,
   a journal, or a cache entry, reproducing a process killed mid-write.
-* **Leaked shm** — :func:`leak_segment` plants an ``etrain-*`` block in
-  ``/dev/shm`` owned by a dead pid, as a publisher dying between
-  ``publish()`` and ``unlink()`` would; ``etrain fleet --cleanup-shm``
-  (see :func:`repro.sim.fleet.channel.cleanup_stale_segments`) sweeps
-  it.
 
 Plans cross process boundaries two ways: as a dict in the lease
 coordinator's hello response (the normal path), or serialised into the ``ETRAIN_FAULTS``
@@ -50,7 +45,6 @@ __all__ = [
     "CRASH_EXIT_CODE",
     "FaultPlan",
     "truncate_tail",
-    "leak_segment",
 ]
 
 #: Environment variable a CLI run reads a serialised plan from.
@@ -199,35 +193,3 @@ def truncate_tail(path, nbytes: int = 16) -> int:
         fh.truncate(new_size)
     return new_size
 
-
-def leak_segment(size: int = 1024, *, pid: Optional[int] = None) -> str:
-    """Plant a stale ``etrain-*`` shm segment; returns its name.
-
-    Writes the ``/dev/shm`` file directly (bypassing
-    ``multiprocessing.shared_memory`` and its resource tracker, which
-    would helpfully un-leak it at interpreter exit) — byte-for-byte what
-    a publisher killed between ``publish()`` and ``unlink()`` leaves
-    behind.  ``pid`` defaults to a pid guaranteed dead so the segment
-    reads as stale; POSIX-only, like the fleet shm path itself.
-    """
-    from repro.sim.fleet.channel import SHM_DIR, segment_name
-
-    if pid is None:
-        pid = _dead_pid()
-    name = segment_name(pid=pid)
-    target = SHM_DIR / name
-    target.write_bytes(b"\0" * max(1, size))
-    return name
-
-
-def _dead_pid() -> int:
-    """A pid with no live process behind it (for stale-segment fixtures)."""
-    pid = 2_000_000_000  # far above any default pid_max
-    while True:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return pid
-        except PermissionError:  # pragma: no cover - pid exists, not ours
-            pass
-        pid -= 1

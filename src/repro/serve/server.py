@@ -77,7 +77,6 @@ class ServeApp:
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
         self.store = SessionStore(self.config.max_sessions)
-        self._table_cache: Dict[Tuple[object, float], object] = {}
         self.requests = 0
         self.errors = 0
 
@@ -308,13 +307,16 @@ class ServeApp:
         bw_spec = request.get("bandwidth")
         if bw_spec is None:
             bw_spec = {"kind": DEFAULT_BANDWIDTH}
-        channel = self._channel_ident(self._bandwidth(bw_spec))  # validates
+        self._bandwidth(bw_spec)  # validates
+        # The resolved channel, not the client's spelling of it.
+        kind = bw_spec["kind"]
+        rate = float(bw_spec["rate"]) if kind == "constant" else None
         try:
             # Bound over the defaults, so equal configurations spelled
             # differently share a key and coalesce.
             params = bind_strategy_params(strategy, params)
             vectorized = fleet_supports(
-                strategy, params, power_model=power_name, bandwidth=bw_spec["kind"]
+                strategy, params, power_model=power_name, bandwidth=kind
             )
         except ValueError as exc:
             raise ProtocolError("bad_params", str(exc))
@@ -340,43 +342,17 @@ class ServeApp:
         params_key = tuple(sorted(params.items()))
         return {
             "request": request,
-            "key": (strategy, params_key, horizon, seed, channel, power_name),
+            "key": (strategy, params_key, horizon, seed, (kind, rate), power_name),
             "strategy": strategy,
-            "params": params,
+            "params": params_key,
             "devices": devices,
             "offset": offset,
             "horizon": horizon,
             "seed": seed,
-            "bw_spec": bw_spec,
+            "bandwidth": kind,
+            "bandwidth_rate": rate,
             "power_model": power_name,
         }
-
-    @staticmethod
-    def _channel_ident(model):
-        """The resolved channel a bandwidth spec names, as a dict key.
-
-        Not the client's spelling of it: named models are shared per
-        process, so the object itself (held by the key, so its identity
-        stays unique) names the channel.
-        """
-        from repro.bandwidth.models import ConstantBandwidth
-
-        if isinstance(model, ConstantBandwidth):
-            return ("constant", model.rate)
-        return model
-
-    def _channel_table(self, bw_spec: Dict, horizon: float):
-        from repro.sim.fleet.channel import ChannelTable
-
-        model = self._bandwidth(bw_spec)
-        key = (self._channel_ident(model), float(horizon))
-        table = self._table_cache.get(key)
-        if table is None:
-            if len(self._table_cache) >= 8:
-                self._table_cache.clear()
-            table = ChannelTable.from_model(model, horizon)
-            self._table_cache[key] = table
-        return table
 
     def _run_batch_group(self, parsed: List[Dict]) -> List[Dict]:
         """One fused kernel call over a coalesced run of batch requests.
@@ -386,26 +362,23 @@ class ServeApp:
         its own range (ids are attached by the caller).
         """
         from repro.sim.fleet.accounting import summarize_chunk
-        from repro.sim.fleet.engine import simulate_fleet_chunk, slice_chunk_raw
-        from repro.sim.fleet.workload import synthesize_fleet
+        from repro.sim.fleet.engine import slice_chunk_raw
+        from repro.sim.fleet.spec import FleetChunkSpec
 
         base = parsed[0]
         total = sum(p["devices"] for p in parsed)
-        workload = synthesize_fleet(
-            total,
-            base["horizon"],
-            seed=base["seed"],
-            device_offset=base["offset"],
-        )
-        table = self._channel_table(base["bw_spec"], base["horizon"])
-        pm = self._power_model(base["power_model"])
-        raw = simulate_fleet_chunk(
-            workload,
-            table,
+        raw = FleetChunkSpec(
             strategy=base["strategy"],
             params=base["params"],
-            power_model=pm,
-        )
+            seed=base["seed"],
+            horizon=base["horizon"],
+            power_model=base["power_model"],
+            bandwidth=base["bandwidth"],
+            bandwidth_rate=base["bandwidth_rate"],
+            n_devices=total,
+            device_offset=base["offset"],
+        ).simulate()
+        pm = self._power_model(base["power_model"])
         responses: List[Dict] = []
         lo = 0
         for p in parsed:
@@ -499,34 +472,36 @@ class ServeApp:
             raise ProtocolError(
                 "bad_request", f"bandwidth must be an object with 'kind', got {spec!r}"
             )
+        from repro.sim.fleet.channel import bandwidth_model
+
         kind = spec["kind"]
-        if kind == "wuhan":
-            from repro.bandwidth.synth import wuhan_bandwidth_model
-
-            return wuhan_bandwidth_model()  # one shared model per process
+        rate = spec.get("rate")
         if kind == "constant":
-            from repro.bandwidth.models import ConstantBandwidth
-
-            rate = spec.get("rate")
             if isinstance(rate, bool) or not isinstance(rate, (int, float)) or rate <= 0:
                 raise ProtocolError(
                     "bad_request", f"constant bandwidth needs rate > 0, got {rate!r}"
                 )
-            return ConstantBandwidth(float(rate))
-        raise ProtocolError(
-            "bad_request",
-            f"unknown bandwidth kind {kind!r}; known: ['constant', 'wuhan']",
-        )
+        elif kind != "wuhan":
+            raise ProtocolError(
+                "bad_request",
+                f"unknown bandwidth kind {kind!r}; known: ['constant', 'wuhan']",
+            )
+        return bandwidth_model(kind, rate)  # one shared Wuhan model per process
 
 
 class _Connection:
-    """Per-connection bookkeeping: writer + frames still in flight."""
+    """Per-connection bookkeeping: writer + frames still in flight.
 
-    __slots__ = ("writer", "outstanding", "closed")
+    ``idle`` is set exactly while no admitted frame awaits its response.
+    """
+
+    __slots__ = ("writer", "outstanding", "idle", "closed")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
         self.outstanding = 0
+        self.idle = asyncio.Event()
+        self.idle.set()
         self.closed = False
 
     def send(self, payload: bytes) -> None:
@@ -610,8 +585,7 @@ class EtrainServer:
             # A final unterminated line is still a complete request once
             # the peer half-closes — flush and serve it.
             self._ingest(conn, decoder.flush())
-            while conn.outstanding > 0:
-                await asyncio.sleep(0)
+            await conn.idle.wait()
             try:
                 await writer.drain()
             except (ConnectionError, RuntimeError):
@@ -661,6 +635,7 @@ class EtrainServer:
                 )
                 continue
             conn.outstanding += 1
+            conn.idle.clear()
             self._wake.set()
 
     # -- introspection: one-shot HTTP metrics snapshots -----------------
@@ -757,6 +732,8 @@ class EtrainServer:
                     conn.outstanding -= 1
                 for conn, payloads in per_conn.values():
                     conn.send(b"".join(payloads))
+                    if conn.outstanding == 0:
+                        conn.idle.set()
                 if metrics is not None:
                     metrics["frames"].inc(len(batch))
                     metrics["batches"].inc()

@@ -50,8 +50,9 @@ same bytes their content hash covers), discriminated by the
 :class:`~repro.sim.parallel.specs.JobSpec`.  Because
 ``FleetChunkSpec.to_dict`` never includes the shared-memory channel
 handle, wire round-trips naturally yield ``channel=None`` and workers
-rebuild the channel table locally — the placement-invariance property
-the result hashes then verify end to end.  A version skew between
+read the channel table from their own per-process memo — the
+placement-invariance property the result hashes then verify end to
+end.  A version skew between
 coordinator and worker raises instead of silently producing
 differently-keyed results.
 """

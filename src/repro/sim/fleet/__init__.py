@@ -13,8 +13,7 @@ the same slotted model over NumPy *device columns*:
   same per-device streams;
 * :mod:`repro.sim.fleet.channel` — the bandwidth trace flattened into a
   prefix-sum table usable with ``searchsorted`` across thousands of
-  concurrent bursts, publishable once per machine over
-  ``multiprocessing.shared_memory``;
+  concurrent bursts, built once per process;
 * :mod:`repro.sim.fleet.engine` — the vectorized slot dynamics for the
   strategies that admit column form (immediate, periodic, TailEnder and
   eTrain's Lyapunov greedy), with a transparent scalar-engine-per-device
@@ -30,7 +29,7 @@ float-summation rounding (see ``tests/test_fleet_equivalence.py``).
 """
 
 from repro.sim.fleet.aggregate import FleetChunkSummary
-from repro.sim.fleet.channel import ChannelTable, SharedChannel
+from repro.sim.fleet.channel import ChannelTable, channel_table
 from repro.sim.fleet.engine import simulate_fleet_chunk
 from repro.sim.fleet.reference import simulate_reference_chunk
 from repro.sim.fleet.runner import FleetRunResult, run_fleet
@@ -45,7 +44,7 @@ __all__ = [
     "FleetRunResult",
     "FleetSpec",
     "FleetWorkload",
-    "SharedChannel",
+    "channel_table",
     "fleet_supports",
     "run_fleet",
     "simulate_fleet_chunk",

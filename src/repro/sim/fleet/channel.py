@@ -1,4 +1,4 @@
-"""Shared, vectorized channel state for fleet simulations.
+"""Vectorized channel state for fleet simulations.
 
 The scalar path answers "how long does a burst of S bytes starting at t
 take?" one burst at a time through
@@ -16,23 +16,20 @@ prefix array.  Durations agree with the scalar integrator to float-
 summation rounding (~1e-11 relative; the scalar path itself only claims
 that much across its fast/generic variants).
 
-Every worker process needs the same two arrays, and for a 2-hour trace
-extended by the 86 400 s transfer guard they are ~1.5 MB — cheap per
-process, but pointless to re-derive and re-copy per chunk.
-:class:`SharedChannel` publishes them once through
-``multiprocessing.shared_memory``; workers attach zero-copy views by
-block name.  Discipline (see ``docs/parallelism.md``): the publisher
-``close()``s *and* ``unlink()``s, attachers only ``close()``.
+For a 2-hour trace extended by the 86 400 s transfer guard the arrays
+are ~1.5 MB: cheap once per process, pointless once per chunk.
+:func:`channel_table` is the one per-process memo every fleet path
+reads (``run_fleet`` chunks, lease workers, the serve daemon's ``batch``
+op).  ``run_fleet`` warms it before it forks its lease workers, so they
+inherit the table instead of rebuilding it (see ``docs/parallelism.md``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-import secrets
 from dataclasses import dataclass
-from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -42,72 +39,10 @@ __all__ = [
     "ChannelTable",
     "SharedChannel",
     "SharedChannelHandle",
-    "SHM_PREFIX",
-    "SHM_DIR",
-    "segment_name",
-    "cleanup_stale_segments",
+    "bandwidth_model",
+    "channel_table",
 ]
 
-#: Every block this library publishes is named ``etrain-<pid>-<token>``,
-#: so a crashed run's leftovers are recognisable (and sweepable) by name.
-SHM_PREFIX = "etrain-"
-
-#: Where POSIX shared memory surfaces as files (Linux tmpfs).
-SHM_DIR = Path("/dev/shm")
-
-
-def segment_name(*, pid: Optional[int] = None) -> str:
-    """A fresh ``etrain-<pid>-<token>`` shared-memory block name."""
-    if pid is None:
-        pid = os.getpid()
-    return f"{SHM_PREFIX}{pid}-{secrets.token_hex(4)}"
-
-
-def _segment_pid(name: str) -> Optional[int]:
-    """The publisher pid encoded in a segment name, or None if unparseable."""
-    if not name.startswith(SHM_PREFIX):
-        return None
-    head = name[len(SHM_PREFIX):].split("-", 1)[0]
-    try:
-        return int(head)
-    except ValueError:
-        return None
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - exists, owned by another user
-        return True
-    return True
-
-
-def cleanup_stale_segments(*, include_live: bool = False) -> List[str]:
-    """Unlink leftover ``etrain-*`` shm segments; returns removed names.
-
-    A segment is *stale* when the publisher pid baked into its name is no
-    longer alive — i.e. the publisher died between ``publish()`` and
-    ``unlink()``.  ``include_live=True`` sweeps every ``etrain-*``
-    segment regardless (only safe when no fleet run is in flight).
-    Unparseable names are treated as live unless ``include_live``.
-    No-op (empty list) on platforms without ``/dev/shm``.
-    """
-    removed: List[str] = []
-    if not SHM_DIR.is_dir():
-        return removed
-    for path in sorted(SHM_DIR.glob(SHM_PREFIX + "*")):
-        pid = _segment_pid(path.name)
-        stale = pid is not None and not _pid_alive(pid)
-        if not (stale or include_live):
-            continue
-        try:
-            path.unlink()
-            removed.append(path.name)
-        except OSError:  # vanished or not ours; nothing to sweep
-            pass
-    return removed
 
 #: Seconds of rate samples kept past the horizon: the scalar integrator's
 #: transfer guard plus slack for a burst that begins exactly at the
@@ -206,6 +141,35 @@ class ChannelTable:
         return dur
 
 
+def bandwidth_model(kind: str, rate: Optional[float] = None):
+    """The model a fleet bandwidth names: ``"wuhan"`` (the paper's 2 h
+    3G uplink trace, one shared instance per process) or ``"constant"``
+    at ``rate`` bytes/s."""
+    if kind == "constant":
+        return ConstantBandwidth(rate=float(rate))
+    from repro.bandwidth.synth import wuhan_bandwidth_model
+
+    return wuhan_bandwidth_model()
+
+
+@functools.lru_cache(maxsize=8)
+def channel_table(
+    bandwidth: str, bandwidth_rate: Optional[float], horizon: float
+) -> ChannelTable:
+    """This process's read-only table for a fleet bandwidth and horizon.
+
+    Built on a miss through :meth:`ChannelTable.from_model` (looked up at
+    call time, so a patched builder sees every real build); at most 8
+    tables are kept, least recently used evicted first.  The cache keys
+    by value, so ``2000`` and ``2000.0`` name the same entry.
+    """
+    model = bandwidth_model(bandwidth, bandwidth_rate)
+    table = ChannelTable.from_model(model, horizon)
+    table.samples.flags.writeable = False
+    table.prefix.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class SharedChannelHandle:
     """Names and geometry needed to attach a published channel table.
@@ -222,24 +186,20 @@ class SharedChannelHandle:
 class SharedChannel:
     """A channel table living in ``multiprocessing.shared_memory``.
 
+    No production path publishes one any more: every process reads
+    :func:`channel_table` instead.  This class, its handle and
+    ``FleetChunkSpec.channel`` stay only because ``layerbench/`` (the
+    benchmark harness, changed only alongside the benchmark itself)
+    imports them.
+
     Lifecycle::
 
-        with SharedChannel.publish(table) as shared:   # parent, once
-            handle = shared.handle            # picklable, pass to workers
-            ...
-            with SharedChannel.attach(handle) as view: # worker
+        with SharedChannel.publish(table) as shared:   # publisher
+            handle = shared.handle            # picklable plain data
+            with SharedChannel.attach(handle) as view: # reader
                 view.table.durations(...)
         # publisher __exit__ closes AND unlinks; attacher __exit__ only
-        # closes — the same discipline as the explicit calls below.
-
-        shared = SharedChannel.publish(table)
-        ...
-        shared.close(); shared.unlink()          # parent: free the blocks
-
-    Blocks are named ``etrain-<pid>-<token>`` so that if the publisher
-    dies before ``unlink()`` (kill -9, OOM), the leak is attributable
-    and :func:`cleanup_stale_segments` / ``etrain fleet --cleanup-shm``
-    can sweep it.
+        # closes.
     """
 
     def __init__(self, blocks, table: ChannelTable, handle: SharedChannelHandle, owner: bool):
@@ -256,21 +216,13 @@ class SharedChannel:
         arrays = []
         try:
             for src in (table.samples, table.prefix):
-                block = None
-                while block is None:
-                    try:
-                        block = shared_memory.SharedMemory(
-                            create=True, size=src.nbytes, name=segment_name()
-                        )
-                    except FileExistsError:  # pragma: no cover - token clash
-                        continue
+                block = shared_memory.SharedMemory(create=True, size=src.nbytes)
                 dst = np.ndarray(src.shape, dtype=np.float64, buffer=block.buf)
                 dst[:] = src
                 blocks.append(block)
                 arrays.append(dst)
         except BaseException:
-            # Publishing the second block failed: free the first rather
-            # than leaking it for --cleanup-shm to find later.
+            # Publishing the second block failed: free the first.
             for block in blocks:
                 try:
                     block.close()

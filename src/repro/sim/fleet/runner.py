@@ -3,9 +3,9 @@
 ``run_fleet`` is the one call the CLI and examples use: it fans the
 fleet's chunks across the
 :class:`~repro.sim.parallel.executor.ExperimentExecutor` (serial
-in-process, sharing one channel table through shared memory, or forked
-lease workers — same code path either way), merges the streamed chunk
-summaries, and reports throughput plus peak RSS.  Its orchestration
+in-process or forked lease workers — same code path either way, both
+reading the channel table this process built once), merges the
+streamed chunk summaries, and reports throughput plus peak RSS.  Its orchestration
 phases are timed into the executor's metrics registry as
 ``fleet.phase.<name>_s`` (wall) and ``fleet.phase.<name>_cpu_s``
 histograms; :attr:`FleetRunResult.phases` is the table view of them.
@@ -26,14 +26,13 @@ from typing import Callable, Dict, Iterator, Optional
 from repro.obs.events import TRACE_SCHEMA_VERSION, EventType
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.fleet.aggregate import FleetChunkSummary
-from repro.sim.fleet.channel import ChannelTable, SharedChannel
 from repro.sim.fleet.spec import FleetSpec
 from repro.sim.parallel.executor import ExecutorStats, ExperimentExecutor
 
 __all__ = ["FleetRunResult", "run_fleet", "peak_rss_bytes"]
 
 #: ``run_fleet``'s orchestration phases, in pipeline order.
-PHASES = ("channel_publish", "simulate", "aggregate")
+PHASES = ("channel", "simulate", "aggregate")
 
 
 def peak_rss_bytes(include_children: bool = True) -> int:
@@ -70,7 +69,7 @@ class FleetRunResult:
     chunks: int
     cached_chunks: int
     vectorized: bool
-    peak_rss: int  # bytes, publisher process + reaped workers
+    peak_rss: int  # bytes, this process + reaped workers
     #: Merged per-worker metrics plus this run's ``fleet.phase.*``
     #: (serialised MetricsRegistry dict).
     metrics: Dict
@@ -111,7 +110,6 @@ def run_fleet(
     workers: Optional[int] = None,
     cache_dir=None,
     progress: Optional[Callable[[str], None]] = None,
-    share_channel: Optional[bool] = None,
     recorder=None,
     retry=None,
     faults=None,
@@ -120,13 +118,10 @@ def run_fleet(
 ) -> FleetRunResult:
     """Run a fleet spec end to end and merge its chunk summaries.
 
-    ``share_channel`` defaults to "when vectorized": when the executor
-    runs the chunks in this process, the prefix table is published to ``multiprocessing.shared_memory`` once
-    and every chunk attaches instead of re-deriving it.  Lease workers
-    get chunks over the wire without a handle and build the table
-    themselves, so nothing is published for them.  The publisher's
-    context manager closes *and* unlinks even when the run dies
-    mid-flight; attached readers only close.
+    The ``channel`` phase builds the spec's channel table into this
+    process's memo (:func:`repro.sim.fleet.channel.channel_table`) before
+    any chunk runs: in-process chunks read it from there, and forked
+    lease workers inherit it.
 
     ``recorder`` optionally receives one ``fleet_chunk`` event per chunk
     summary plus a closing ``fleet_run`` event.  (Chunk specs cross
@@ -144,13 +139,11 @@ def run_fleet(
     the executor keyword arguments above (minus ``workers``) that
     returns an :class:`ExperimentExecutor`-compatible instance — the
     hook the CLI uses to build its executor from the placement flags
-    (``--bind`` yields a :class:`~repro.sim.dist.DistExecutor`).  Chunk content
-    hashes exclude the shared-channel handle, so cache, journal and
+    (``--bind`` yields a :class:`~repro.sim.dist.DistExecutor`).  Chunk
+    content hashes depend only on the scenario, so cache, journal and
     results are identical whichever placement runs them.
     """
     vectorized = spec.vectorized
-    if share_channel is None:
-        share_channel = vectorized
     started = time.perf_counter()
     common = dict(
         cache_dir=cache_dir,
@@ -164,29 +157,25 @@ def run_fleet(
         executor = make_executor(**common)
     else:
         executor = ExperimentExecutor(workers=workers, **common)
-    with contextlib.ExitStack() as stack:
-        with _phase(executor.metrics, "channel_publish"):
-            if share_channel and vectorized and executor.in_process:
-                table = ChannelTable.from_model(spec.bandwidth_model(), spec.horizon)
-                shared = stack.enter_context(SharedChannel.publish(table))
-                chunks = spec.chunk_specs(channel=shared.handle)
-            else:
-                chunks = spec.chunk_specs()
-        if not vectorized:
-            # Fallback visibility: count it where dashboards look and
-            # stamp it into the trace so a slow run explains itself.
-            executor.metrics.counter("fleet.scalar_fallback").inc(len(chunks))
-            if recorder is not None:
-                recorder.emit(
-                    {
-                        "ev": EventType.FLEET_FALLBACK,
-                        "schema": TRACE_SCHEMA_VERSION,
-                        "strategy": spec.strategy,
-                        "chunks": len(chunks),
-                    }
-                )
-        with _phase(executor.metrics, "simulate"):
-            results = executor.run(chunks)
+    with _phase(executor.metrics, "channel"):
+        if vectorized:
+            spec.channel_table()
+        chunks = spec.chunk_specs()
+    if not vectorized:
+        # Fallback visibility: count it where dashboards look and
+        # stamp it into the trace so a slow run explains itself.
+        executor.metrics.counter("fleet.scalar_fallback").inc(len(chunks))
+        if recorder is not None:
+            recorder.emit(
+                {
+                    "ev": EventType.FLEET_FALLBACK,
+                    "schema": TRACE_SCHEMA_VERSION,
+                    "strategy": spec.strategy,
+                    "chunks": len(chunks),
+                }
+            )
+    with _phase(executor.metrics, "simulate"):
+        results = executor.run(chunks)
     with _phase(executor.metrics, "aggregate"):
         summaries = [FleetChunkSummary.from_dict(r.summary) for r in results]
         merged = FleetChunkSummary.merge_all(summaries)

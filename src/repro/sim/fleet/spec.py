@@ -89,6 +89,20 @@ class _FleetFields:
         if self.horizon <= 0:
             raise ValueError(f"horizon must be > 0, got {self.horizon}")
 
+    def _fields(self) -> Dict[str, Any]:
+        """Every scenario field by name: the one list both specs share."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(_FleetFields)}
+
+    def _doc(self, kind: str, **extra: Any) -> Dict[str, Any]:
+        """The hashed plain-data form: every scenario field plus ``extra``."""
+        return {
+            "version": FLEET_CACHE_VERSION,
+            "kind": kind,
+            **self._fields(),
+            "params": self.param_dict,
+            **extra,
+        }
+
     @property
     def param_dict(self) -> Dict[str, Any]:
         return dict(self.params)
@@ -104,13 +118,15 @@ class _FleetFields:
 
     def bandwidth_model(self):
         """Materialize the (deterministic) bandwidth model."""
-        if self.bandwidth == "constant":
-            from repro.bandwidth.models import ConstantBandwidth
+        from repro.sim.fleet.channel import bandwidth_model
 
-            return ConstantBandwidth(rate=float(self.bandwidth_rate))
-        from repro.bandwidth.synth import wuhan_bandwidth_model
+        return bandwidth_model(self.bandwidth, self.bandwidth_rate)
 
-        return wuhan_bandwidth_model()
+    def channel_table(self):
+        """This process's memoized channel table for the spec's bandwidth."""
+        from repro.sim.fleet.channel import channel_table
+
+        return channel_table(self.bandwidth, self.bandwidth_rate, self.horizon)
 
     def profiles(self):
         """Cargo profiles (rate-scaled when ``rate`` is set)."""
@@ -126,16 +142,17 @@ class _FleetFields:
 class FleetChunkSpec(_FleetFields):
     """One contiguous device range of a fleet, as an executor job.
 
-    ``channel`` optionally names a published shared-memory channel table
-    (see :class:`repro.sim.fleet.channel.SharedChannel`); without it the
-    worker flattens the bandwidth model itself.  The handle is runtime
-    plumbing, not simulation input, so it is excluded from the content
-    hash and the cached spec dict.
+    The channel table always comes from the per-process memo
+    (:func:`repro.sim.fleet.channel.channel_table`).  ``channel`` is
+    accepted only because the benchmark harness still passes a
+    :class:`~repro.sim.fleet.channel.SharedChannelHandle`; it is ignored
+    until the benchmark drops it, and is excluded from the content hash
+    and the cached spec dict.
     """
 
     n_devices: int = 0
     device_offset: int = 0
-    channel: Optional[Any] = None  # SharedChannelHandle; hash-exempt
+    channel: Optional[Any] = None  # ignored; hash-exempt, see class doc
     tag: str = ""
 
     def __post_init__(self) -> None:
@@ -147,25 +164,12 @@ class FleetChunkSpec(_FleetFields):
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form for hashing and cache metadata (no handle)."""
-        return {
-            "version": FLEET_CACHE_VERSION,
-            "kind": "fleet_chunk",
-            "strategy": self.strategy,
-            "params": {k: v for k, v in self.params},
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "rate": self.rate,
-            "power_model": self.power_model,
-            "phase_mode": self.phase_mode,
-            "bandwidth": self.bandwidth,
-            "bandwidth_rate": self.bandwidth_rate,
-            "n_devices": self.n_devices,
-            "device_offset": self.device_offset,
-        }
+        return self._doc(
+            "fleet_chunk", n_devices=self.n_devices, device_offset=self.device_offset
+        )
 
     def content_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return _digest(self.to_dict())
 
     def describe(self) -> str:
         if self.tag:
@@ -176,63 +180,56 @@ class FleetChunkSpec(_FleetFields):
     def run_in_worker(self) -> Dict[str, Any]:
         """Synthesize, simulate and reduce this chunk; the worker entry point.
 
-        Pure function of the spec's hashed fields: the shared-channel
-        handle only short-circuits rebuilding the same prefix table.
-        Returns ``FleetChunkSummary.to_dict()`` (JSON-serializable).
+        Returns ``FleetChunkSummary.to_dict()`` (JSON-serializable): of
+        :meth:`simulate` for a vectorized spec, else of the per-device
+        scalar engine.
         """
+        from repro.sim.parallel.specs import POWER_MODELS
+
+        pm = POWER_MODELS[self.power_model]
+        if self.vectorized:
+            from repro.sim.fleet.accounting import summarize_chunk
+
+            return summarize_chunk(self.simulate(), pm).to_dict()
+        from repro.sim.fleet.reference import simulate_reference_chunk
+
+        return simulate_reference_chunk(
+            self._workload(),
+            self.bandwidth_model(),
+            strategy=self.strategy,
+            params=self.param_dict,
+            power_model=pm,
+            profiles=self.profiles(),
+        ).to_dict()
+
+    def simulate(self):
+        """This chunk's raw :class:`~repro.sim.fleet.engine.FleetChunkRaw`
+        from the vectorized engine.
+
+        A pure function of the hashed fields; the channel table comes
+        from this process's memo.
+        """
+        from repro.sim.fleet.engine import simulate_fleet_chunk
+        from repro.sim.parallel.specs import POWER_MODELS
+
+        return simulate_fleet_chunk(
+            self._workload(),
+            self.channel_table(),
+            strategy=self.strategy,
+            params=self.param_dict,
+            power_model=POWER_MODELS[self.power_model],
+        )
+
+    def _workload(self):
         from repro.sim.fleet.workload import synthesize_fleet
 
-        workload = synthesize_fleet(
+        return synthesize_fleet(
             self.n_devices,
             self.horizon,
             self.seed,
             device_offset=self.device_offset,
             profiles=self.profiles(),
             phase_mode=self.phase_mode,
-        )
-        if self.vectorized:
-            summary = self._run_vectorized(workload)
-        else:
-            summary = self._run_reference(workload)
-        return summary.to_dict()
-
-    def _run_vectorized(self, workload):
-        from repro.sim.fleet.accounting import summarize_chunk
-        from repro.sim.fleet.channel import ChannelTable, SharedChannel
-        from repro.sim.fleet.engine import simulate_fleet_chunk
-        from repro.sim.parallel.specs import POWER_MODELS
-
-        pm = POWER_MODELS[self.power_model]
-        shared = None
-        if self.channel is not None:
-            shared = SharedChannel.attach(self.channel)
-            table = shared.table
-        else:
-            table = ChannelTable.from_model(self.bandwidth_model(), self.horizon)
-        try:
-            raw = simulate_fleet_chunk(
-                workload,
-                table,
-                strategy=self.strategy,
-                params=self.param_dict,
-                power_model=pm,
-            )
-            return summarize_chunk(raw, pm)
-        finally:
-            if shared is not None:
-                shared.close()
-
-    def _run_reference(self, workload):
-        from repro.sim.fleet.reference import simulate_reference_chunk
-        from repro.sim.parallel.specs import POWER_MODELS
-
-        return simulate_reference_chunk(
-            workload,
-            self.bandwidth_model(),
-            strategy=self.strategy,
-            params=self.param_dict,
-            power_model=POWER_MODELS[self.power_model],
-            profiles=self.profiles(),
         )
 
 
@@ -263,12 +260,9 @@ class FleetSpec(_FleetFields):
     def n_chunks(self) -> int:
         return (self.devices + self.chunk_size - 1) // self.chunk_size
 
-    def chunk_specs(self, channel=None) -> List[FleetChunkSpec]:
-        """Split into executor jobs (optionally wired to a shared channel)."""
-        fields = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(_FleetFields)
-        }
+    def chunk_specs(self) -> List[FleetChunkSpec]:
+        """Split into executor jobs."""
+        fields = self._fields()
         chunks = []
         n = self.n_chunks
         for k in range(n):
@@ -278,7 +272,6 @@ class FleetSpec(_FleetFields):
                 FleetChunkSpec(
                     n_devices=hi - lo,
                     device_offset=lo,
-                    channel=channel,
                     tag=f"{self.strategy} fleet chunk {k + 1}/{n}",
                     **fields,
                 )
@@ -286,20 +279,12 @@ class FleetSpec(_FleetFields):
         return chunks
 
     def content_hash(self) -> str:
-        payload = {
-            "version": FLEET_CACHE_VERSION,
-            "kind": "fleet",
-            "devices": self.devices,
-            "chunk_size": self.chunk_size,
-            "strategy": self.strategy,
-            "params": {k: v for k, v in self.params},
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "rate": self.rate,
-            "power_model": self.power_model,
-            "phase_mode": self.phase_mode,
-            "bandwidth": self.bandwidth,
-            "bandwidth_rate": self.bandwidth_rate,
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return _digest(
+            self._doc("fleet", devices=self.devices, chunk_size=self.chunk_size)
+        )
+
+
+def _digest(doc: Dict[str, Any]) -> str:
+    """SHA-256 of the canonical JSON of a spec document."""
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

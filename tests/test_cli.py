@@ -119,7 +119,7 @@ class TestFleetCommand:
         )
         assert code == 0
         phases = json.loads(out.read_text())["phases"]
-        assert set(phases) == {"channel_publish", "simulate", "aggregate"}
+        assert set(phases) == {"channel", "simulate", "aggregate"}
         metrics = json.loads(metrics_out.read_text())
         for name, slot in phases.items():
             assert set(slot) == {"wall_s", "cpu_s", "calls"}
@@ -132,7 +132,7 @@ class TestFleetCommand:
         printed = capsys.readouterr().out
         assert "phases:" in printed
         assert (
-            printed.index("channel_publish")
+            printed.index("  channel ")
             < printed.index("simulate ")
             < printed.index("aggregate")
         )
@@ -231,8 +231,8 @@ class TestFaultToleranceFlags:
     def test_fleet_parser_accepts_fault_flags(self):
         from repro.cli import build_fleet_parser
 
-        args = build_fleet_parser().parse_args(["--cleanup-shm", "--resume"])
-        assert args.cleanup_shm and args.resume
+        args = build_fleet_parser().parse_args(["--resume", "--max-retries", "3"])
+        assert args.resume and args.max_retries == 3
 
     def test_bad_faults_spec_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -248,10 +248,6 @@ class TestFaultToleranceFlags:
     def test_fleet_resume_needs_cache_dir(self, capsys):
         assert main(["fleet", "--devices", "1", "--resume"]) == 2
         assert "--resume requires --cache-dir" in capsys.readouterr().err
-
-    def test_fleet_cleanup_shm_runs_standalone(self, capsys):
-        assert main(["fleet", "--cleanup-shm"]) == 0
-        assert "stale etrain-* segment(s)" in capsys.readouterr().out
 
     def test_dist_flags_parse_on_sweep_and_fleet(self):
         from repro.cli import build_fleet_parser, build_sweep_parser

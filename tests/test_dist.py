@@ -53,14 +53,17 @@ class TestWireProtocol:
             assert rebuilt.to_dict() == spec.to_dict()
 
     def test_fleet_chunk_survives_the_wire_hash_intact(self):
+        import dataclasses
+
         from repro.sim.fleet.spec import FleetSpec
 
         spec = FleetSpec.make(64, "etrain", chunk_size=16, horizon=600.0)
-        for chunk in spec.chunk_specs(channel=object()):
+        for chunk in spec.chunk_specs():
+            chunk = dataclasses.replace(chunk, channel=object())
             rebuilt = _wire_round_trip(chunk)
             assert rebuilt.content_hash() == chunk.content_hash()
-            # Runtime plumbing never crosses the wire: the worker
-            # rebuilds the channel table locally (placement invariance).
+            # Runtime plumbing never crosses the wire: the worker reads
+            # its own per-process channel table (placement invariance).
             assert rebuilt.channel is None
             assert rebuilt.tag == ""
 

@@ -4,8 +4,7 @@ The first half exercises *simulation-level* adversity (missing trains,
 channel outages, degenerate workloads).  The second half (``-m faults``)
 exercises *execution-level* adversity through :mod:`repro.faults`:
 kill -9 mid-sweep then ``--resume``, injected hangs hitting the timeout
-path, injected crashes surfacing in the retry metrics, and shared-memory
-leaks swept by ``etrain fleet --cleanup-shm``.
+path, injected crashes surfacing in the retry metrics, and torn files.
 """
 
 import json
@@ -397,50 +396,6 @@ class TestRetryMetricsMatchInjection:
         assert metrics["executor.worker_failures"]["value"] == 1
         assert metrics["executor.retries"]["value"] >= 1
         assert metrics["executor.jobs"]["value"] == len(jobs)
-
-
-@pytest.mark.faults
-@pytest.mark.skipif(
-    not Path("/dev/shm").is_dir(), reason="no /dev/shm on this platform"
-)
-class TestShmLeakAndSweep:
-    def test_killed_fleet_run_leaks_then_cleanup_shm_sweeps(self, tmp_path):
-        """ISSUE acceptance: a SIGKILLed fleet run orphans its etrain-*
-        segments; ``etrain fleet --cleanup-shm`` removes them all.  Only
-        an in-process run publishes its channel table, so the victim is
-        a serial run long enough (seconds) to be caught mid-simulation."""
-        from repro.sim.fleet.channel import SHM_DIR, SHM_PREFIX
-
-        victim = _spawn_cli(
-            ["fleet", "--devices", "2048", "--chunk-size", "512", "--quiet"],
-            tmp_path,
-        )
-        mine = f"{SHM_PREFIX}{victim.pid}-"
-        try:
-            deadline = time.monotonic() + 120
-            while time.monotonic() < deadline:
-                leaked = [p.name for p in SHM_DIR.glob(mine + "*")]
-                if leaked:
-                    break
-                if victim.poll() is not None:  # pragma: no cover
-                    pytest.fail(f"fleet exited early: {victim.communicate()}")
-                time.sleep(0.05)
-            else:  # pragma: no cover
-                pytest.fail("fleet never published its channel table")
-            os.killpg(victim.pid, signal.SIGKILL)
-        finally:
-            victim.wait(timeout=60)
-            victim.stdout.close()
-            victim.stderr.close()
-
-        # The kill orphaned the segments (nothing unlinked them)...
-        assert [p.name for p in SHM_DIR.glob(mine + "*")] == leaked
-        # ...and the cleanup command sweeps every one of them.
-        swept = _run_cli(["fleet", "--cleanup-shm"], tmp_path)
-        assert swept.returncode == 0
-        for name in leaked:
-            assert f"removed stale shm segment {name}" in swept.stdout
-        assert list(SHM_DIR.glob(mine + "*")) == []
 
 
 @pytest.mark.faults

@@ -1,7 +1,6 @@
 """Unit tests for the deterministic fault-injection harness."""
 
 import json
-import os
 
 import pytest
 
@@ -9,10 +8,8 @@ from repro.faults import (
     CRASH_EXIT_CODE,
     FAULTS_ENV_VAR,
     FaultPlan,
-    leak_segment,
     truncate_tail,
 )
-from repro.sim.fleet.channel import SHM_DIR, cleanup_stale_segments
 
 pytestmark = pytest.mark.faults
 
@@ -125,30 +122,3 @@ class TestTruncateTail:
         with pytest.raises(ValueError):
             truncate_tail(path, -1)
 
-
-needs_dev_shm = pytest.mark.skipif(
-    not SHM_DIR.is_dir(), reason="no /dev/shm on this platform"
-)
-
-
-@needs_dev_shm
-class TestLeakAndSweep:
-    def test_leaked_segment_is_swept(self):
-        name = leak_segment()
-        try:
-            assert (SHM_DIR / name).exists()
-            removed = cleanup_stale_segments()
-            assert name in removed
-            assert not (SHM_DIR / name).exists()
-        finally:
-            (SHM_DIR / name).unlink(missing_ok=True)
-
-    def test_live_pid_segment_survives_default_sweep(self):
-        name = leak_segment(pid=os.getpid())
-        try:
-            assert name not in cleanup_stale_segments()
-            assert (SHM_DIR / name).exists()
-            # include_live force-sweeps it.
-            assert name in cleanup_stale_segments(include_live=True)
-        finally:
-            (SHM_DIR / name).unlink(missing_ok=True)

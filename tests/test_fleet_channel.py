@@ -1,10 +1,11 @@
-"""ChannelTable and SharedChannel: correctness and shm discipline.
+"""ChannelTable, its per-process memo, and SharedChannel.
 
 The prefix-sum table must reproduce ``BandwidthModel.transfer_duration``
 for arbitrary (possibly fractional) start times, including starts past
-the simulated horizon (bursts serialized into the guard band) — and the
-shared-memory wrapper must round-trip the table bit-exactly while
-honouring the publish/attach/close/unlink lifecycle.
+the simulated horizon (bursts serialized into the guard band); the memo
+must hand out one read-only table per key; and the shared-memory
+wrapper must round-trip the table bit-exactly while honouring the
+publish/attach/close/unlink lifecycle.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from repro.bandwidth.models import ConstantBandwidth
 from repro.bandwidth.synth import wuhan_bandwidth_model
-from repro.sim.fleet.channel import ChannelTable, SharedChannel
+from repro.sim.fleet.channel import ChannelTable, SharedChannel, channel_table
 
 
 @pytest.fixture(scope="module")
@@ -118,18 +119,7 @@ def test_shared_channel_handle_is_plain_data(table):
 
 
 class TestShmLifecycle:
-    """Leak-hygiene satellite: named segments, context managers, sweeping."""
-
-    def test_segments_are_named_after_the_publisher_pid(self, table):
-        import os
-
-        from repro.sim.fleet.channel import SHM_PREFIX
-
-        with SharedChannel.publish(table) as shared:
-            prefix = f"{SHM_PREFIX}{os.getpid()}-"
-            assert shared.handle.samples_name.startswith(prefix)
-            assert shared.handle.prefix_name.startswith(prefix)
-            assert shared.handle.samples_name != shared.handle.prefix_name
+    """Context managers: publishers unlink, attachers only close."""
 
     def test_publisher_context_manager_unlinks(self, table):
         with SharedChannel.publish(table) as shared:
@@ -146,21 +136,43 @@ class TestShmLifecycle:
             with SharedChannel.attach(shared.handle) as again:
                 np.testing.assert_array_equal(again.table.samples, table.samples)
 
-    def test_cleanup_stale_segments_skips_this_process(self, table):
-        from repro.sim.fleet.channel import cleanup_stale_segments
 
-        with SharedChannel.publish(table) as shared:
-            removed = cleanup_stale_segments()
-            assert shared.handle.samples_name not in removed
-            assert shared.handle.prefix_name not in removed
-            # Still attachable: the sweep must not have touched them.
-            with SharedChannel.attach(shared.handle):
-                pass
+class TestChannelMemo:
+    """One read-only table per (bandwidth, rate, horizon) per process."""
 
-    def test_segment_name_parsing(self):
-        from repro.sim.fleet.channel import _segment_pid, segment_name
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        channel_table.cache_clear()
+        yield
+        channel_table.cache_clear()
 
-        name = segment_name(pid=12345)
-        assert _segment_pid(name) == 12345
-        assert _segment_pid("unrelated-file") is None
-        assert _segment_pid("etrain-notapid-x") is None
+    def test_memo_returns_one_table_per_key(self, wuhan):
+        a = channel_table("wuhan", None, 600.0)
+        assert channel_table("wuhan", None, 600) is a
+        assert channel_table("wuhan", None, 300.0) is not a
+        assert channel_table("constant", 2000, 600.0) is channel_table(
+            "constant", 2000.0, 600.0
+        )
+        assert channel_table.cache_info().currsize == 3
+        want = ChannelTable.from_model(wuhan, 600.0)
+        np.testing.assert_array_equal(a.samples, want.samples)
+        np.testing.assert_array_equal(a.prefix, want.prefix)
+
+    def test_memo_tables_are_read_only(self):
+        table = channel_table("wuhan", None, 600.0)
+        with pytest.raises(ValueError):
+            table.samples[0] = 0.0
+        with pytest.raises(ValueError):
+            table.prefix[-1] = 0.0
+
+    def test_memo_keeps_eight_evicting_least_recently_used(self):
+        first = channel_table("constant", 1.0, 60.0)
+        for rate in range(2, 9):
+            channel_table("constant", float(rate), 60.0)
+        assert channel_table("constant", 1.0, 60.0) is first  # now most recent
+        channel_table("constant", 9.0, 60.0)  # evicts rate 2.0
+        assert channel_table.cache_info().currsize == 8
+        assert channel_table("constant", 1.0, 60.0) is first
+        misses = channel_table.cache_info().misses
+        channel_table("constant", 2.0, 60.0)
+        assert channel_table.cache_info().misses == misses + 1

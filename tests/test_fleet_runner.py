@@ -8,13 +8,17 @@ strategies the vectorized engine does not cover (peres etc.).
 """
 
 import dataclasses
+import hashlib
 import json
+import multiprocessing
+import os
+from multiprocessing import shared_memory
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.fleet.aggregate import FleetChunkSummary
-from repro.sim.fleet.channel import ChannelTable, SharedChannel
+from repro.sim.fleet.channel import ChannelTable, SharedChannel, channel_table
 from repro.sim.fleet.runner import (
     FleetRunResult,
     _phase,
@@ -88,6 +92,39 @@ def test_chunk_hash_ignores_tag_and_channel():
         shared.unlink()
 
 
+def test_chunk_ignores_its_channel_handle(monkeypatch):
+    chunk = small_spec().chunk_specs()[0]
+
+    def refuse(handle):
+        raise AssertionError("a chunk attached its channel handle")
+
+    monkeypatch.setattr(SharedChannel, "attach", staticmethod(refuse))
+    handled = dataclasses.replace(chunk, channel=object())
+    assert handled.run_in_worker() == chunk.run_in_worker()
+
+
+def test_content_hashes_are_pinned():
+    """Journal run keys and ``--resume`` are built from these hashes, so
+    the spec documents they digest must not drift."""
+    specs = [
+        FleetSpec.make(1024, "etrain", chunk_size=256, horizon=600.0, seed=3),
+        FleetSpec.make(
+            64, "periodic", params={"period": 30.0}, chunk_size=64, seed=0,
+            rate=2.0, phase_mode="random", bandwidth="constant",
+            bandwidth_rate=125000.0,
+        ),
+        FleetChunkSpec(
+            strategy="etrain", params=(("theta", 0.5),), seed=7, horizon=1200.0,
+            rate=1.5, n_devices=128, device_offset=256,
+        ),
+    ]
+    assert [s.content_hash() for s in specs] == [
+        "b8b7cab9fca208a69c29c0b9f865014a48bf124f378eed9e62f200f005f9c9a2",
+        "ed81989f9fbf9921254b30113e3fc5a37dd5c820e4d6151e79e39008a0e681bc",
+        "297a2e12fa7089643940c789a1a3f6da0f1ee35f8176a0b9f2384617203190db",
+    ]
+
+
 def test_chunk_hash_sensitive_to_scenario():
     base = small_spec().chunk_specs()[0]
     for change in (
@@ -157,23 +194,84 @@ def test_run_fleet_workers_match_serial():
     assert pooled.delay_cost_sum == pytest.approx(serial.delay_cost_sum, rel=1e-12)
 
 
-def test_run_fleet_publishes_the_channel_only_for_in_process_chunks(monkeypatch):
-    # Lease workers get chunks over the wire without the shared-memory
-    # handle, so a parallel run has no reader for a published table.
-    published = []
-    publish = SharedChannel.publish
+#: Canonical-JSON SHA-256 of ``run_fleet(FOUR_CHUNKS).summary.to_dict()``,
+#: recorded when in-process runs still read a shared-memory table.
+FOUR_CHUNKS = small_spec(devices=8, chunk_size=2)
+FOUR_CHUNKS_SUMMARY = "95373aadc6fb73d4f8770a34d940c30689beaaf2c4b2b0b3b290d66cfbf8fc83"
 
-    def counting_publish(table):
-        published.append(table)
-        return publish(table)
 
-    monkeypatch.setattr(SharedChannel, "publish", counting_publish)
-    spec = small_spec(devices=4, chunk_size=2)
-    serial = run_fleet(spec)
-    assert len(published) == 1
-    parallel = run_fleet(spec, workers=2)
-    assert len(published) == 1
-    assert parallel.summary.to_dict() == serial.summary.to_dict()
+def summary_digest(doc):
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture
+def no_shared_memory(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a production path created shared memory")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_run_fleet_creates_no_shared_memory(no_shared_memory, workers):
+    result = run_fleet(FOUR_CHUNKS, workers=workers)
+    assert result.chunks == 4
+    assert summary_digest(result.summary.to_dict()) == FOUR_CHUNKS_SUMMARY
+
+
+def test_run_fleet_builds_the_channel_table_once_per_process(monkeypatch):
+    channel_table.cache_clear()
+    real = ChannelTable.from_model.__func__
+    built = []
+
+    def counting(cls, model, horizon):
+        built.append(horizon)
+        return real(cls, model, horizon)
+
+    monkeypatch.setattr(ChannelTable, "from_model", classmethod(counting))
+    first = run_fleet(FOUR_CHUNKS)
+    again = run_fleet(dataclasses.replace(FOUR_CHUNKS, devices=4, seed=1))
+    assert first.chunks == 4 and again.chunks == 2
+    assert built == [FOUR_CHUNKS.horizon]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="lease workers inherit the memo only when forked",
+)
+def test_forked_workers_inherit_the_warm_channel_table(monkeypatch):
+    serial = run_fleet(FOUR_CHUNKS)  # warms this process's memo
+
+    def refuse(cls, model, horizon):
+        raise AssertionError("a forked worker rebuilt the channel table")
+
+    monkeypatch.setattr(ChannelTable, "from_model", classmethod(refuse))
+    forked = run_fleet(FOUR_CHUNKS, workers=2)
+    assert forked.summary.to_dict() == serial.summary.to_dict()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="lease workers inherit the memo only when forked",
+)
+def test_cold_run_fleet_warms_the_table_before_forking(monkeypatch, tmp_path):
+    serial = run_fleet(FOUR_CHUNKS)
+    channel_table.cache_clear()
+    log = tmp_path / "builds"
+    real = ChannelTable.from_model.__func__
+
+    def logging(cls, model, horizon):
+        # Workers run in other processes, so every build is logged to a
+        # file the parent reads back.
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(cls, model, horizon)
+
+    monkeypatch.setattr(ChannelTable, "from_model", classmethod(logging))
+    forked = run_fleet(FOUR_CHUNKS, workers=2)
+    assert forked.summary.to_dict() == serial.summary.to_dict()
+    assert log.read_text().split() == [str(os.getpid())]
 
 
 def test_run_fleet_caches_chunks(tmp_path):
@@ -207,17 +305,17 @@ def test_phase_observes_wall_and_cpu_and_accumulates_calls():
 def test_phase_is_recorded_when_the_block_raises():
     registry = MetricsRegistry()
     with pytest.raises(RuntimeError):
-        with _phase(registry, "channel_publish"):
+        with _phase(registry, "channel"):
             raise RuntimeError("boom")
     metrics = registry.to_dict()
-    assert metrics["fleet.phase.channel_publish_s"]["count"] == 1
-    assert metrics["fleet.phase.channel_publish_cpu_s"]["count"] == 1
+    assert metrics["fleet.phase.channel_s"]["count"] == 1
+    assert metrics["fleet.phase.channel_cpu_s"]["count"] == 1
 
 
 def test_run_fleet_phases_are_a_view_of_the_phase_histograms():
     result = run_fleet(small_spec())
     table = result.phases
-    assert list(table) == ["channel_publish", "simulate", "aggregate"]
+    assert list(table) == ["channel", "simulate", "aggregate"]
     for name, slot in table.items():
         assert slot == {
             "wall_s": result.metrics[f"fleet.phase.{name}_s"]["sum"],

@@ -423,6 +423,45 @@ class TestServeOverTcp:
             )
 
 
+    def test_half_close_gets_every_response_in_order(self):
+        """A client that sends a bulk batch plus session events and then
+        half-closes still reads every response, in request order, before
+        the server closes its side."""
+        batch = {"op": "batch", "strategy": "etrain", "devices": 256,
+                 "horizon": 450.0, "seed": 7, "id": 0}
+        frames = [batch] + [
+            dict(frame, id=i)
+            for i, frame in enumerate(
+                device_frames(_WORKLOAD, 0, strategy="etrain"), start=1
+            )
+        ]
+
+        async def _run():
+            server = EtrainServer(ServeConfig())
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(
+                    b"".join((json.dumps(f) + "\n").encode("utf-8") for f in frames)
+                )
+                await writer.drain()
+                writer.write_eof()
+                raw = await asyncio.wait_for(reader.read(), timeout=60.0)
+                writer.close()
+                await writer.wait_closed()
+                return [json.loads(line) for line in raw.splitlines()]
+            finally:
+                await server.stop()
+
+        responses = asyncio.run(_run())
+        assert [r.get("id") for r in responses] == list(range(len(frames)))
+        assert all(r["ok"] for r in responses), responses
+        alone = ServeApp(ServeConfig()).handle(dict(batch))
+        assert responses[0]["fleet"] == json.loads(json.dumps(alone["fleet"]))
+
+
 class TestMetricsEndpoint:
     """The ``--metrics-port`` introspection listener (plain HTTP GET)."""
 

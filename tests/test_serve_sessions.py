@@ -14,6 +14,8 @@ large device-id spaces and checks the store's contract:
   ``retry_after`` hint is a pure function of the backlog.
 """
 
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -359,11 +361,13 @@ def test_bandwidth_specs_resolve_per_open():
 
 def test_batch_channel_tables_keyed_by_resolved_model(monkeypatch):
     """Batch requests that spell the same channel differently share one
-    channel table: 20 Wuhan specs with distinct padding build it once,
-    and a constant rate keys by its value."""
+    entry of the process's channel-table memo: 20 Wuhan specs with
+    distinct padding build it once, and a constant rate keys by its
+    value (``2000`` and ``2000.0`` alike)."""
     from repro.serve.server import ServeApp, ServeConfig
-    from repro.sim.fleet.channel import ChannelTable
+    from repro.sim.fleet.channel import ChannelTable, channel_table
 
+    channel_table.cache_clear()
     real = ChannelTable.from_model.__func__
     built = []
 
@@ -378,8 +382,31 @@ def test_batch_channel_tables_keyed_by_resolved_model(monkeypatch):
         response = app.handle(dict(request, bandwidth={"kind": "wuhan", "pad": i}))
         assert response["ok"], response
     assert len(built) == 1
-    for i in range(3):
-        bandwidth = {"kind": "constant", "rate": 2_000.0, "pad": i}
+    for i, rate in enumerate((2_000, 2_000.0, 2_000)):
+        bandwidth = {"kind": "constant", "rate": rate, "pad": i}
         assert app.handle(dict(request, bandwidth=bandwidth))["ok"]
     assert len(built) == 2
-    assert len(app._table_cache) <= 8
+    assert channel_table.cache_info().currsize == 2
+
+
+def test_batch_creates_no_shared_memory(monkeypatch):
+    """A ``batch`` answer reads the memo, never shared memory, and its
+    summary is the one recorded when serve kept a private table cache."""
+    import hashlib
+    from multiprocessing import shared_memory
+
+    from repro.serve.server import ServeApp, ServeConfig
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("serve created shared memory")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+    response = ServeApp(ServeConfig()).handle(
+        {"op": "batch", "strategy": "etrain", "devices": 3,
+         "device_offset": 2, "horizon": 300.0, "seed": 1}
+    )
+    assert response["ok"], response
+    canonical = json.dumps(response["fleet"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == (
+        "6a7014f0a0942c4677880e8a2375f060d4a20f6b019f8de35d9b560719181408"
+    )
