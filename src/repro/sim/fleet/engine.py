@@ -14,9 +14,10 @@ strategies whose decision rules admit column form:
   Lyapunov greedy pick, warm-radio gating and heartbeat drains —
   vectorized across all devices of the chunk, with the delay-cost sums
   P_i(t) maintained as closed-form aggregates instead of per-packet
-  scans (see below).  It visits only the slots where a device's state
-  can change, one device-asynchronous round per event (see
-  :func:`_simulate_etrain`).
+  scans (see below).  It runs one device-asynchronous round per stop
+  (a Θ release, a heartbeat or a deferred release); the deliveries and
+  deadline transitions before a stop only move the sums, and a round
+  folds them in on its way there (see :func:`_simulate_etrain`).
 
 Aggregate delay costs
 ---------------------
@@ -562,8 +563,26 @@ def _theta_step_for(kinds_arr: np.ndarray, dls_arr: np.ndarray) -> Callable:
 _KIND_COEF = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 2.0], [1.0, 3.0, -2.0]])
 
 
-def _theta_crossing_for(kinds_arr: np.ndarray, dls_arr: np.ndarray) -> Callable:
-    """The Θ-crossing search bound to one chunk's app axis.
+def _theta_line(kinds_arr: np.ndarray, dls_arr: np.ndarray):
+    """The linear P's coefficients per app, ``(c_pre, c_post, c_cnt)``,
+    and the (2, 4·apps) matrix that maps stacked sums (n_pre, s_pre,
+    n_post, s_post) to a column's (slope, intercept).  The line is the
+    closed form of the Θ step in exact arithmetic, so it only ever
+    guesses the float P."""
+    A = kinds_arr.shape[0]
+    coef = _KIND_COEF[np.asarray(kinds_arr, dtype=np.int64)]
+    c_pre, c_post, c_cnt = coef[:, 0] / dls_arr, coef[:, 1] / dls_arr, coef[:, 2]
+    lin = np.zeros((2, 4, A))
+    lin[0, 0], lin[0, 2] = c_pre, c_post
+    lin[1, 1], lin[1, 2], lin[1, 3] = -c_pre, c_cnt, -c_post
+    return (c_pre, c_post, c_cnt), lin.reshape(2, 4 * A)
+
+
+def _theta_crossing_for(
+    kinds_arr: np.ndarray, dls_arr: np.ndarray, lin: np.ndarray
+) -> Callable:
+    """The Θ-crossing search bound to one chunk's app axis and its Θ
+    line's matrix ``lin`` (:func:`_theta_line`).
 
     ``cross(lo, hi, theta, sums)`` returns, per device column, the first
     slot ``t`` in ``[lo, hi)`` at which the Θ step gives ``P(t) >= theta``,
@@ -575,20 +594,12 @@ def _theta_crossing_for(kinds_arr: np.ndarray, dls_arr: np.ndarray) -> Callable:
     the guess and one slot before it, stepping until both checks hold.
     """
     step = _theta_step_for(kinds_arr, dls_arr)
-    A = kinds_arr.shape[0]
-    coef = _KIND_COEF[np.asarray(kinds_arr, dtype=np.int64)]
-    c_pre, c_post, c_cnt = coef[:, 0] / dls_arr, coef[:, 1] / dls_arr, coef[:, 2]
-    # (slope, intercept) of the linear P as one product with the sums
-    lin = np.zeros((2, 4, A))
-    lin[0, 0], lin[0, 2] = c_pre, c_post
-    lin[1, 1], lin[1, 2], lin[1, 3] = -c_pre, c_cnt, -c_post
-    lin = lin.reshape(2, 4 * A)
 
     def cross(lo, hi, theta, sums):
         lo = lo.astype(np.float64)
         hi = hi.astype(np.float64)
         theta = np.broadcast_to(theta, lo.shape)
-        slope, icpt = lin @ sums.reshape(4 * A, -1)
+        slope, icpt = lin @ sums.reshape(lin.shape[1], -1)
         # A zero slope means a constant P: every u term is multiplied by
         # an exact zero count.
         rising = slope > 0.0
@@ -626,16 +637,184 @@ def _theta_crossing_for(kinds_arr: np.ndarray, dls_arr: np.ndarray) -> Callable:
     return cross
 
 
-def _run_ends(cell: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Per flat packet, one past the last packet of its (cell, key) run."""
-    n = cell.size
-    if n == 0:
-        return np.empty(0, np.int64)
-    new = np.ones(n, dtype=bool)
-    new[1:] = (cell[1:] != cell[:-1]) | (key[1:] != key[:-1])
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], n)
-    return ends[np.cumsum(new) - 1]
+#: Passive slots (deliveries and deadline transitions) a device may pass
+#: in one round of the eTrain kernel on its way to its next stop.  At
+#: 16 devices over 2 h (seed 7) no gap between two stops holds more
+#: than 7, and 99% hold 4 or fewer; a longer gap costs one extra round
+#: per window.
+_LOOKAHEAD = 8
+
+#: Relative margin of the lookahead's screen: how far the Θ line summed
+#: op by op may lie from the float P, as a share of the magnitudes
+#: summed.  The rounding of the folds and of the Θ step stays below
+#: ~1e-14 of them; a wider margin only ever costs an exact search.
+_SCREEN_TOL = 1e-9
+
+#: Timeline groups per block when the eTrain kernel sums their screen
+#: rows at set-up.
+_SETUP_BLOCK = 1 << 16
+
+#: Per passive op type (delivery, in-set transition, spec-set
+#: transition), the four per-cell running sums it moves, as rows of the
+#: (in-set, spec-set) x (n_pre, s_pre, n_post, s_post) stack: a delivery
+#: enters both sets as pre, a transition moves a packet from pre to post
+#: in one set.
+_OP_COLS = np.array([[0, 1, 4, 5], [0, 1, 2, 3], [4, 5, 6, 7]])
+
+#: Per op type, the signs of its four sums' changes (count, arrival).
+_OP_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, 1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]])
+
+
+def _fold_passive(Z: np.ndarray, dev, app, typ, arr) -> None:
+    """Apply passive ops to the running sums ``Z`` (2, 4, apps, devices)
+    in op order: one ``np.add.at`` repeats the per-slot loop's float
+    operations, in its order per cell, when the ops come sorted by
+    (device, slot, type, packet)."""
+    _, _, A, D = Z.shape
+    at = _OP_COLS[typ]
+    at *= A * D
+    at += (app * D + dev)[:, None]
+    v = _OP_SIGNS[typ]
+    v[:, 1] *= arr
+    v[:, 3] = arr
+    np.add.at(Z.reshape(-1), at.ravel(), v.ravel())
+
+
+def _theta_lookahead_for(line) -> Tuple[Callable, Callable]:
+    """The eTrain kernel's screen of the segments between passive slots,
+    bound to one chunk's Θ line (:func:`_theta_line`).
+
+    Returns ``(op_screen, screen)``.  ``op_screen(op_type, op_app,
+    op_arr)`` gives each passive op's change to the screen line's slope,
+    its intercept and the queue count, the first two raised by
+    ``_SCREEN_TOL`` times a bound on the magnitudes summed: a delivery
+    (type 0) adds a pre packet, a Θ-set transition (1) turns one post, a
+    spec-set transition (2) leaves the Θ set alone.  Summed per passive
+    slot, these are the ``gd`` rows of the kernel's timeline.
+
+    ``screen(Z, qn, theta, lo, end, bk, gd, gk, nv)`` picks, per device
+    column, the segment where the exact Θ search runs.  ``bk`` (window +
+    1, devices) holds each device's next passive slots, ascending, and
+    ``gk`` their timeline groups; ``bk[:nv]`` is its window, and ``gd``
+    (3, groups) holds each group's summed ``op_screen`` rows.  Segment
+    ``k`` runs from passive slot ``k − 1`` (from ``lo`` for ``k = 0``)
+    to passive slot ``k`` or ``end``, with the sums after ``k`` passive
+    slots; ``Z`` stacks the current (Θ-set, spec-set) sums (2, 4, apps,
+    devices) and ``qn`` the queued packets.  The screen evaluates the
+    raised line at each segment's last slot and keeps the segments with
+    a queue where it reaches Θ.  P is monotone inside a segment, so a
+    segment screened out holds no slot with ``P(t) >= Θ``.  Every
+    segment of every device is screened in one (window + 1, devices)
+    block: two thirds of the devices pass segment 0 without a candidate,
+    so screening the later ones for those alone costs more in indexing
+    than it saves.
+
+    It returns ``(take, has, s_lo, s_hi)``: ``take`` counts the passive
+    slots before the device's first kept segment (all ``nv`` when it
+    has none), ``has`` marks the devices with one, and ``[s_lo, s_hi)``
+    is that segment.
+    """
+    (c_pre, c_post, c_cnt), lin = line
+    A = c_pre.size
+    tol = _SCREEN_TOL * np.abs(lin)
+    # by (op type, app): slope, and the intercept as fixed + arrival * per_ar
+    slope = np.zeros((3, A))
+    fixed = np.zeros((3, A))
+    per_ar = np.zeros((3, A))
+    slope[0] = c_pre * (1.0 + _SCREEN_TOL)
+    per_ar[0] = -c_pre * (1.0 - _SCREEN_TOL)
+    slope[1] = c_post - c_pre + _SCREEN_TOL * (c_pre + c_post)
+    fixed[1] = c_cnt + _SCREEN_TOL * np.abs(c_cnt)
+    per_ar[1] = c_pre - c_post + _SCREEN_TOL * (c_pre + c_post)
+    slope, fixed, per_ar = slope.ravel(), fixed.ravel(), per_ar.ravel()
+
+    def op_screen(op_type, op_app, op_arr):
+        ta = np.asarray(op_type, dtype=np.intp) * A + op_app
+        return slope[ta], fixed[ta] + per_ar[ta] * op_arr, (op_type == 0) * 1.0
+
+    def screen(Z, qn, theta, lo, end, bk, gd, gk, nv):
+        K, D = bk.shape
+        IN = Z[0].reshape(4 * A, D)
+        seg = np.empty((K, 3, D))
+        seg[0, :2] = lin @ IN + tol @ np.abs(IN)
+        seg[0, 2] = qn
+        for row in range(3):
+            np.take(gd[row], gk[:-1], out=seg[1:, row], mode="clip")
+        for j in range(1, K):
+            seg[j] += seg[j - 1]
+        lo_k = np.concatenate((lo[None], bk[:-1]))
+        hi_k = np.minimum(bk, end)
+        keep = (
+            (np.arange(K)[:, None] <= nv)
+            & (hi_k > lo_k)
+            & (seg[:, 2] > 0.5)
+            & (seg[:, 0] * (hi_k - 1.0) + seg[:, 1] >= theta)
+        )
+        has = keep.any(axis=0)
+        take = np.where(has, keep.argmax(axis=0), nv)
+        dev = np.arange(D)
+        return take, has, lo_k[take, dev], hi_k[take, dev]
+
+    return op_screen, screen
+
+
+def _passive_timeline(pk_dev, kd, kp, n_slots: int, n_devices: int, hb_dev, hb_slot):
+    """Every passive op of a chunk that can move the sums, in per-device
+    slot order.
+
+    Each packet is delivered at ``kd`` (both aggregate sets), crosses its
+    deadline in the Θ set at ``kp`` and in the speculative set at
+    ``kp − 1``.  Every heartbeat (``hb_dev``, ``hb_slot``: one row per
+    (device, slot), sorted) drains its device's queue after the slot's
+    passive ops, so a transition after the first heartbeat at or after
+    its packet's delivery is left out.  A packet released by a Θ pick
+    still has its transitions listed; the kernel turns them into no-ops.
+    Ops are
+    sorted by (device, slot, type, flat packet), the order the per-slot
+    loop applied them in, so each cell's ops form its ordered fold.
+
+    Returns per op its flat packet and type, and per group (one device's
+    ops in one slot) its first op, closed by the op count, and its slot.
+    Each
+    device ends with a sentinel group at ``n_slots``; ``first`` and
+    ``sentinel`` index each device's first and sentinel groups.
+    """
+    N, D = kd.size, n_devices
+    S = n_slots + 1
+    hk = hb_dev * S + hb_slot
+    drain = np.append(hk, D * S)[np.searchsorted(hk, pk_dev * S + kd)] - pk_dev * S
+    slots = (kd, kp, kp - 1)
+    keep = [kd < n_slots] + [(sl < n_slots) & (sl <= drain) for sl in slots[1:]]
+    # bit fields (device, slot, type, packet) of one sort key; the
+    # sentinel sits at slot n_slots.  Packets, ops and slots are indexed
+    # as int32, which halves the timeline's memory.
+    pb = max(N - 1, 1).bit_length()
+    sb = n_slots.bit_length()
+    if max(D - 1, 1).bit_length() + sb + 2 + pb > 63 or 3 * N + D >= 1 << 31:
+        raise ValueError(
+            f"chunk too large for the passive timeline's sort key: "
+            f"{D} devices, {n_slots} slots, {N} packets"
+        )
+    parts = [
+        (((pk_dev[k] << sb) | sl[k]) << 2 | t) << pb | np.flatnonzero(k)
+        for t, (sl, k) in enumerate(zip(slots, keep))
+    ]
+    parts.append(((np.arange(D, dtype=np.int64) << sb) | n_slots) << (2 + pb))
+    key = np.concatenate(parts)
+    del parts
+    key.sort()
+    o_p = (key & ((1 << pb) - 1)).astype(np.int32)
+    key >>= pb
+    o_t = (key & 3).astype(np.int8)
+    key >>= 2
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    gpos = np.flatnonzero(new).astype(np.int32)
+    gslot = (key[gpos] & ((1 << sb) - 1)).astype(np.int32)
+    sentinel = np.flatnonzero(gslot == n_slots)
+    first = np.concatenate(([0], sentinel[:-1] + 1))
+    gpos = np.append(gpos, np.int32(key.size))
+    return o_p, o_t, gpos, gslot, first, sentinel
 
 
 def _simulate_etrain(
@@ -654,19 +833,33 @@ def _simulate_etrain(
     on_release=None,
     defer=None,
 ) -> FleetChunkRaw:
-    """Algorithm 1 over a chunk, one round per device event.
+    """Algorithm 1 over a chunk, one round per device stop.
 
-    A device's state only changes in slots where a packet is delivered,
-    a queued packet crosses its deadline, a heartbeat departs, a deferred
-    buffer may release, or P(t) reaches Θ.  Each round moves every device
-    to its own next such slot (the Θ crossing comes from the monotone
-    search of :func:`_theta_crossing_for`) and runs that slot's steps for
-    all of them at once, so the loop runs once per event of the busiest
-    device rather than once per slot.  Rows are emitted in round order
-    and put back into per-slot order at the end: within a slot, Θ
-    releases by app then device, deferred releases by device, heartbeat
-    carriers by device, heartbeats of rank >= 1 by rank then device, and
-    the final flush after the last slot.
+    A device *stops* in a slot where its Θ check fires, a heartbeat
+    departs, or its deferred buffer may release.  Deliveries and
+    pre→post deadline transitions are *passive*: they only move the
+    running sums.  Each round moves every device to its own next stop
+    and runs that slot's steps for all stopping devices at once, so the
+    loop runs once per stop of the busiest device rather than once per
+    slot.
+
+    The passive slots on the way are taken in one vectorized step
+    (:func:`_theta_lookahead_for`).  A device's window is its next
+    passive slots, at most ``_LOOKAHEAD``, up to its hard stop
+    (heartbeat or deferred release).  A screen finds the first segment
+    between passive slots that may hold a crossing, the exact monotone
+    search of :func:`_theta_crossing_for` runs there, and the passive
+    slots before it are folded into the sums in the per-slot loop's
+    order.  A device whose window ends before its next stop resumes
+    next round from the first passive slot it did not take.  The
+    timeline leaves out transitions after a packet's heartbeat drain;
+    a Θ pick turns the transitions still ahead of its packet into
+    no-ops, so neither is gathered or screened.
+
+    Rows are emitted in round order and put back into per-slot order at
+    the end: within a slot, Θ releases by app then device, deferred
+    releases by device, heartbeat carriers by device, heartbeats of rank
+    >= 1 by rank then device, and the final flush after the last slot.
 
     ``on_release(pick_dev, pick_slot, pick_delay, hb_dev, hb_slot, hb_lo,
     hb_hi)`` receives each round's selection-time releases: single Θ
@@ -685,45 +878,30 @@ def _simulate_etrain(
 
     A, D = w.n_apps, w.n_devices
     AD = A * D
+    W = _LOOKAHEAD
     tail_time = pm.tail_time
     horizon = w.horizon
     kinds = [int(k) for k in w.cost_kinds]
     dls = [float(d) for d in w.deadlines]
     kinds_arr = np.asarray(kinds, dtype=np.int64)
     dls_arr = np.asarray(dls, dtype=np.float64)
-    theta_costs = _theta_step_for(kinds_arr, dls_arr)
-    theta_cross = _theta_crossing_for(kinds_arr, dls_arr)
+    line = _theta_line(kinds_arr, dls_arr)
+    cross = _theta_crossing_for(kinds_arr, dls_arr, line[1])
+    op_screen, screen = _theta_lookahead_for(line)
     theta_dev = np.broadcast_to(np.asarray(theta, dtype=np.float64), (D,))
 
     # Packets in the app-major flat order of ``pk_*``.  A cell is one
     # (app, device) queue, numbered ``app * D + device`` in the same order.
     N = pk_arr.size
     size_f = pk_size.astype(np.float64)
-    cell = pk_app * D + pk_dev
-    cell_lo = np.searchsorted(cell, np.arange(AD))
-    kd = _delivery_slots(pk_arr, n_slots)
+    pk_cell = pk_app * D + pk_dev
+    cell_lo = np.searchsorted(pk_cell, np.arange(AD))
     kp = _transition_slots(pk_arr, dls_arr[pk_app])
-    dl_end = _run_ends(cell, kd)
-    tr_end = _run_ends(cell, kp)
-    # Per-packet event slots, padded with one "none" (n_slots) after each
-    # cell: pointer ``j`` of cell ``c`` reads position ``j + c``, and a
-    # pointer at the cell's end reads its pad.
-    pad = np.arange(N) + cell
-
-    def padded(v):
-        out = np.full(N + AD, n_slots, dtype=np.int64)
-        out[pad] = np.minimum(v, n_slots)
-        return out
-
-    kd_p, kp_p, kpm_p = padded(kd), padded(kp), padded(kp - 1)
 
     # queue pointers per cell (flat packet indices): delivered below
-    # ``tail``, selected below ``head``, in/spec-set transitions applied
-    # below ``tin``/``tsp``
+    # ``tail``, selected below ``head``
     head = cell_lo.copy()
     tail = cell_lo.copy()
-    tin = cell_lo.copy()
-    tsp = cell_lo.copy()
     aoff = (np.arange(A, dtype=np.int64) * D)[:, None]  # + device: (A, n) cells
 
     # heartbeats grouped per (device, slot); rank 0 is the carrier
@@ -736,28 +914,45 @@ def _simulate_etrain(
     n_groups = g_first.size
     h_sizes = w.train_sizes.astype(np.float64)
     max_rank = int(h_rank.max()) if h_rank.size else 0
+    # next heartbeat and deferred-release slot per device
+    nh = g_slot_x[np.where(hg_ptr < g_dev_end, hg_ptr, n_groups)]
+    nf = np.full(D, n_slots, dtype=np.int64)
 
-    # Next slot of each scheduled event per device: rows [0, A) delivery,
-    # [A, 2A) in-set transition, [2A, 3A) spec-set transition (one row
-    # per app), then heartbeat and deferred release.
-    NX = np.full((3 * A + 2, D), n_slots, dtype=np.int64)
-    nd = NX[:A].reshape(-1)
-    ni = NX[A : 2 * A].reshape(-1)
-    ns = NX[2 * A : 3 * A].reshape(-1)
-    nh = NX[3 * A]
-    nf = NX[3 * A + 1]
-    nd[:] = kd_p[tail + np.arange(AD)]
-    ni[:] = kp_p[tin + np.arange(AD)]
-    ns[:] = kpm_p[tsp + np.arange(AD)]
-    nh[:] = g_slot_x[np.where(hg_ptr < g_dev_end, hg_ptr, n_groups)]
+    # The passive timeline: ops, grouped per (device, slot), and each
+    # group's summed screen rows ``gd``.  ``op_tr`` is each packet's
+    # (Θ-set, spec-set) transition op (-1 if left out): a Θ pick turns
+    # them into no-ops (type 3) and takes them out of ``gd``.
+    o_p, o_t, gpos, gslot, gp, g_sent = _passive_timeline(
+        pk_dev,
+        _delivery_slots(pk_arr, n_slots),
+        kp,
+        n_slots,
+        D,
+        h_dev[g_first],
+        h_slot[g_first],
+    )
+    # summed in blocks of groups: the per-op rows of a whole 1024-device
+    # chunk would set its peak memory
+    n_g = gslot.size
+    gd = np.empty((3, n_g))
+    for g0 in range(0, n_g, _SETUP_BLOCK):
+        g1 = min(g0 + _SETUP_BLOCK, n_g)
+        lo, hi = gpos[g0], gpos[g1]
+        p = o_p[lo:hi]
+        for row, v in enumerate(op_screen(o_t[lo:hi], pk_app[p], pk_arr[p])):
+            gd[row, g0:g1] = np.add.reduceat(v, gpos[g0:g1] - lo)
+    op_tr = np.full((N, 3), -1, dtype=np.int32)
+    m = np.flatnonzero(o_t > 0)
+    op_tr[o_p[m], o_t[m] - 1] = m
+    m = m[o_t[m] == 1]
+    op_tr[o_p[m], 2] = np.searchsorted(gpos, m, side="right") - 1
+    del m
 
     # Running sums: Z[0] classifies packets at slot time t (the Θ check),
     # Z[1] at t + 1 (the speculative costs of the greedy gain); each
     # stacks (n_pre, s_pre, n_post, s_post) x (app, device).
     Z = np.zeros((2, 4, A, D), dtype=np.float64)
-    IN = Z[0]
-    in_rows = list(Z[0].reshape(4, AD))  # 1-D views per cell
-    sp_rows = list(Z[1].reshape(4, AD))
+    Zf = Z.reshape(-1)  # row (set * 4 + sum) * AD + cell
     wait_f = np.zeros(AD, dtype=np.float64)  # queued bytes per cell
     qn = np.zeros(D, dtype=np.int64)  # queued packets per device
     held_bytes = np.zeros(D, dtype=np.float64)
@@ -837,12 +1032,6 @@ def _simulate_etrain(
     def row_key(slots, cat, sub, devs):
         return ((slots * n_cat + cat) * (A + 1) + sub) * D + devs
 
-    def retarget(c):
-        """Re-read the next transition slots of cells whose head moved."""
-        h = head[c]
-        ni[c] = kp_p[np.maximum(h, tin[c]) + c]
-        ns[c] = kpm_p[np.maximum(h, tsp[c]) + c]
-
     def flats(devs):
         return np.asarray([f for d in devs for f in def_flats[d]], dtype=np.int64)
 
@@ -850,78 +1039,78 @@ def _simulate_etrain(
         setup_s = clk() - t_setup
         acc_q = acc_d = acc_h = 0.0
 
-    never = np.full(D, np.inf)
-    P = np.empty(D, dtype=np.float64)
+    steps = np.arange(W + 1)[:, None]
+    dev = np.arange(D)
     rounds = 0
     while True:
         if clk:
             ts = clk()
-        # next event per device: the earliest scheduled one, or an earlier
-        # Θ crossing while packets are queued
-        es = NX.min(axis=0)
-        es = theta_cross(cur, es, np.where(qn > 0, theta_dev, never), IN)
-        live = es < n_slots
-        ev = np.flatnonzero(live)
-        if not ev.size:
-            break
-        rounds += 1
-        if clk:  # finding the crossings is part of the Θ decision
-            acc_d += clk() - ts
-            ts = clk()
-        e_cmp = np.where(live, es, -1)
-        tf = es.astype(np.float64)
-        picks = drains = None  # for on_release
-        # 1. deliveries (arrival <= t): enter both aggregate sets as pre
-        c = np.flatnonzero(NX[:A] == e_cmp)
-        if c.size:
-            lo = tail[c]
-            hi = dl_end[lo]
-            idx, lens = _csr_expand(lo, hi)
-            lin = np.repeat(c, lens)
-            ar = pk_arr[idx]
-            for rows_ in (in_rows, sp_rows):
-                rows_[0][c] += lens
-                np.add.at(rows_[1], lin, ar)
-            np.add.at(wait_f, lin, size_f[idx])
-            tail[c] = hi
-            nd[c] = kd_p[hi + c]
-            np.add.at(qn, c % D, lens)
-        # 2. pre->post transitions for still-queued packets
-        for r0, ptr, rows_, nx, slots_p in (
-            (A, tin, in_rows, ni, kp_p),
-            (2 * A, tsp, sp_rows, ns, kpm_p),
-        ):
-            c = np.flatnonzero(NX[r0 : r0 + A] == e_cmp)
-            if c.size:
-                lo = np.maximum(head[c], ptr[c])
-                hi = tr_end[lo]
-                idx, lens = _csr_expand(lo, hi)
-                lin = np.repeat(c, lens)
-                ar = pk_arr[idx]
-                rows_[0][c] -= lens
-                np.add.at(rows_[1], lin, -ar)
-                rows_[2][c] += lens
-                np.add.at(rows_[3], lin, ar)
-                ptr[c] = hi
-                nx[c] = slots_p[hi + c]
-        # 3. which devices see a heartbeat this slot
-        hbm = nh == e_cmp
+        # Each device's hard stop ``H`` (heartbeat or deferred release),
+        # the end ``E`` of its Θ search (a heartbeat slot skips the
+        # check, a deferred-release slot runs it), and its window: its
+        # next passive slots ``bk`` up to the hard stop, at most W.
+        H = np.minimum(nh, nf)
+        E = H + (nf < nh)
+        Hc = np.minimum(H, n_slots - 1)
+        gk = np.minimum(gp + steps, g_sent)
+        bk = gslot[gk]
+        nv = (bk[:W] <= Hc).sum(axis=0)
+        take, has, s_lo, s_hi = screen(Z, qn, theta_dev, cur, E, bk, gd, gk, nv)
+        # the taken slots' ops, device by device and slot by slot, less
+        # the no-ops
+        idx = _csr_expand(gpos[gp], gpos[gp + take])[0]
+        t = o_t[idx]
+        live = t < 3
+        p, t = o_p[idx[live]], t[live]
+        r = pk_dev[p]
+        _fold_passive(Z, r, pk_app[p], t, pk_arr[p])
+        gp += take
+        # the deliveries taken: queue tails, queued bytes and counts
+        m = t == 0
+        c = pk_cell[p[m]]
+        np.add.at(wait_f, c, size_f[p[m]])
+        tail += np.bincount(c, minlength=AD)
+        qn += np.bincount(r[m], minlength=D)
         if clk:
             acc_q += clk() - ts
             ts = clk()
-        # 4. theta check on non-heartbeat devices with queued packets
-        theta_costs(tf, IN[0], IN[1], IN[2], IN[3], P)
-        fd = np.flatnonzero(live & ~hbm & (qn > 0) & (P >= theta_dev))
+        # the exact search, in each device's kept segment
+        fd = np.flatnonzero(has)
+        fired = np.zeros(D, dtype=bool)
+        es = np.empty(D, dtype=np.int64)
+        if fd.size:
+            es[fd] = cross(s_lo[fd], s_hi[fd], theta_dev[fd], Z[0][:, :, fd])
+            fired[fd] = es[fd] < s_hi[fd]
+        if clk:
+            acc_d += clk() - ts
+            ts = clk()
+        # where each device goes: its Θ crossing, its hard stop, or the
+        # first passive slot it did not take
+        nxt = bk[take, dev]
+        reach = nxt > Hc
+        stop = fired | (reach & (H < n_slots))
+        es = np.where(fired, es, H)
+        cur = np.where(stop, es + 1, np.where(reach, n_slots, nxt))
+        if not (stop.any() or nv.any()) and cur.min() >= n_slots:
+            break
+        rounds += 1
+        fd = np.flatnonzero(fired)
+        if clk:
+            acc_q += clk() - ts
+            ts = clk()
+        hbm = stop & (es == nh)
+        picks = drains = None  # for on_release
         # 5. single greedy pick per fired device: one masked reduction
         # over an (apps x fired) gain matrix
         if fd.size:
-            ft, fs = tf[fd], es[fd]
+            fs = es[fd]
+            ft = fs.astype(np.float64)
             u = ft + 1.0
             cf = aoff + fd  # (A, F) cells
             h = head[cf]
             has = h < tail[cf]
             ar_h = pk_arr[np.minimum(h, N - 1)]
-            S = [r[cf] for r in sp_rows]
+            S = Z[1][:, :, fd]
             G = np.empty((A, fd.size))
             with np.errstate(invalid="ignore"):
                 for a in range(A):
@@ -939,18 +1128,23 @@ def _simulate_etrain(
             sz = size_f[g]
             if on_release is not None:
                 picks = (fd, fs, np.maximum(0.0, ft - ar))
+            # out of both sets, as a pre or post packet (count, then sum)
             kg = kp[g]
-            for post, rows_ in ((kg <= fs, in_rows), (kg <= fs + 1, sp_rows)):
-                cp, ap = c[~post], ar[~post]
-                rows_[0][cp] -= 1.0
-                rows_[1][cp] -= ap
-                cq, aq = c[post], ar[post]
-                rows_[2][cq] -= 1.0
-                rows_[3][cq] -= aq
+            at = np.stack((2 * (kg <= fs), 4 + 2 * (kg <= fs + 1))) * AD + c
+            Zf[at] -= 1.0
+            Zf[at + AD] -= ar
+            # its transitions still ahead are no-ops now (one already
+            # applied sits in a group never screened or taken again)
+            ot = op_tr[g]
+            o_t[ot[:, :2][ot[:, :2] >= 0]] = 3
+            ok = ot[:, 0] >= 0
+            gi = ot[ok, 2]
+            d_slope, d_icpt, _ = op_screen(1, best[ok], ar[ok])
+            gd[0, gi] -= d_slope
+            gd[1, gi] -= d_icpt
             wait_f[c] -= sz
             head[c] = g + 1
             qn[fd] -= 1
-            retarget(c)
             if defer is not None:
                 # New releases join the buffer before this slot's
                 # quality check (step 5b), like the scalar decide.
@@ -991,8 +1185,9 @@ def _simulate_etrain(
         # Heartbeat devices skip this — their buffer rides the carrier in
         # step 6, matching the scalar heartbeat branch.
         if defer is not None:
-            rd = np.flatnonzero(live & ~hbm & (def_cnt > 0))
-            rs, rt = es[rd], tf[rd]
+            rd = np.flatnonzero(stop & ~hbm & (def_cnt > 0))
+            rs = es[rd]
+            rt = rs.astype(np.float64)
             ok = release_ok[rs] | ((rt - def_start[rd]) >= max_defer)
             rd, rs, rt = rd[ok], rs[ok], rt[ok]
             if rd.size:
@@ -1069,15 +1264,13 @@ def _simulate_etrain(
             dd_lo.append(lo)
             dd_hi.append(hi)
             head[ch] = hi
-            for r in in_rows + sp_rows:
-                r[ch] = 0.0
+            Z[..., hbd] = 0.0
             wait_f[ch] = 0.0
             held_bytes[hbd] = 0.0
             held_cnt[hbd] = 0
             qn[hbd] = 0
-            retarget(ch)
         if pending:
-            emit(*(np.concatenate(a) for a in zip(*pending)))
+            emit(*(np.concatenate(a) if len(a) > 1 else a[0] for a in zip(*pending)))
             pending.clear()
         if hbd.size:
             # the rest of a slot's heartbeats go bare, after the carrier
@@ -1105,10 +1298,9 @@ def _simulate_etrain(
                 *(picks or (empty, empty, np.empty(0, np.float64))),
                 *(drains or (empty, empty, None, None)),
             )
-        np.add(es, 1, out=cur, where=live)
         if defer is not None:
-            nf[ev] = n_slots
-            wd = np.flatnonzero(live & (def_cnt > 0))
+            nf[stop] = n_slots
+            wd = np.flatnonzero(stop & (def_cnt > 0))
             if wd.size:
                 nxt = next_ok[es[wd] + 1]
                 if patience is not None:
@@ -1119,6 +1311,7 @@ def _simulate_etrain(
 
     if clk:
         t_fin = clk()
+    del o_p, o_t, gpos, gslot, gd, op_tr  # the timeline is the chunk's largest state
 
     # end-of-horizon flush: held + still-queued + never-delivered packets
     # (+ still-deferred ones; their pk_burst stays -1 and resolves via

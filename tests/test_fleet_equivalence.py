@@ -24,8 +24,14 @@ from repro.sim.fleet.accounting import summarize_chunk
 from repro.sim.fleet.aggregate import FleetChunkSummary
 from repro.sim.fleet.channel import ChannelTable
 from repro.sim.fleet.engine import (
+    _LOOKAHEAD,
+    _OP_COLS,
     _cost_aggregate,
+    _fold_passive,
+    _passive_timeline,
     _theta_crossing_for,
+    _theta_line,
+    _theta_lookahead_for,
     _theta_step_for,
     _transition_slots,
     simulate_fleet_chunk,
@@ -351,7 +357,222 @@ def test_theta_crossing_matches_brute_force_scan(seed, case):
         step(at.astype(np.float64), sums[0], sums[1], sums[2], sums[3], P)
         theta = np.where(rng.random(D) < 0.2, np.nextafter(P, np.inf), P)
         hi = np.maximum(hi, at + 1)
-    got = _theta_crossing_for(kinds, dls)(lo, hi, theta, sums)
+    got = _theta_crossing_for(kinds, dls, _theta_line(kinds, dls)[1])(lo, hi, theta, sums)
     want = _first_crossing_by_scan(step, lo, hi, theta, sums)
     np.testing.assert_array_equal(got, want)
 
+
+def _passive_window(rng, kinds, dls, D, lo):
+    """Random queues at slot ``lo`` plus each device's next passive slots.
+
+    Packets arrive up to ``3·deadline`` before ``lo`` and up to 80 s
+    after; one that arrived before ``lo`` is queued, the others are
+    delivered in the window.  Returns the sums at ``lo`` (Θ set, spec
+    set), queued counts, and per device its passive slots, each a list
+    of ``(app, type, arrival)`` ops in the per-slot loop's order.
+    """
+    A = kinds.size
+    Z = np.zeros((2, 4, A, D))
+    qn = np.zeros(D, dtype=np.int64)
+    slots = [dict() for _ in range(D)]
+    for a in range(A):
+        for d in range(D):
+            n = int(rng.integers(0, 5))
+            arr = np.sort(rng.uniform(max(0.0, lo - 3.0 * dls[a]), lo + 80.0, size=n))
+            kd = np.ceil(arr).astype(np.int64)
+            kp = _transition_slots(arr, float(dls[a]))
+            for j in range(n):
+                if kd[j] < lo:
+                    qn[d] += 1
+                    for z, post in ((0, kp[j] < lo), (1, kp[j] - 1 < lo)):
+                        col = 2 if post else 0
+                        Z[z, col, a, d] += 1.0
+                        Z[z, col + 1, a, d] += arr[j]
+                else:
+                    slots[d].setdefault(int(kd[j]), []).append((a, 0, arr[j]))
+                for ty, sl in ((1, kp[j]), (2, kp[j] - 1)):
+                    if sl >= lo:
+                        slots[d].setdefault(int(sl), []).append((a, ty, arr[j]))
+    # the per-slot loop's order: deliveries, Θ-set, then spec-set
+    # transitions, each app-major (packets here are per-app sorted)
+    groups = [
+        [(s, sorted(ops, key=lambda o: (o[1], o[0]))) for s, ops in sorted(sl.items())]
+        for sl in slots
+    ]
+    return Z, qn, groups
+
+
+def _apply_ops(Z, d, ops):
+    """The per-slot loop's fold of one passive slot into device ``d``."""
+    for a, ty, ar in ops:
+        sgn = 1.0 if ty == 0 else -1.0
+        for row, v in zip(_OP_COLS[ty], (sgn, sgn * ar, 1.0, ar)):
+            Z.reshape(8, -1, Z.shape[-1])[row, a, d] += v
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=100_000),
+    case=st.sampled_from(["random", "tie_before", "tie_at", "above"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_windowed_search_matches_slot_by_slot_scan(seed, case):
+    """The rounds loop's lookahead stops where a slot-by-slot loop stops:
+    each passive slot's ops applied in order, then ``P(t) >= Θ`` checked
+    with a queue.  Θ may equal P exactly at a passive slot or at the slot
+    before one (a tie at a segment boundary), or sit one ulp above it.
+    Sums must match bit for bit after the passive slots it takes."""
+    rng = np.random.default_rng(seed)
+    A, D = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+    kinds = rng.integers(0, 3, size=A).astype(np.int64)
+    dls = rng.uniform(2.0, 60.0, size=A)
+    lo = int(rng.integers(0, 7000))
+    Z0, qn, groups = _passive_window(rng, kinds, dls, D, lo)
+    K = _LOOKAHEAD + 1
+    far = lo + 10_000
+    bk = np.full((K, D), far, dtype=np.int64)
+    for d in range(D):
+        gs = [s for s, _ in groups[d]][:K]
+        bk[: len(gs), d] = gs
+    # the hard stop H: a heartbeat (search ends at H) or a deferred
+    # release (its slot is searched too); the window never passes it
+    H = lo + rng.integers(0, 120, size=D)
+    end = H + rng.integers(0, 2, size=D)
+    nv = np.array(
+        [int(rng.integers(0, 1 + int((bk[:-1, d] <= H[d]).sum()))) for d in range(D)]
+    )
+    step = _theta_step_for(kinds, dls)
+
+    def scan(d, theta_d):
+        """Slot-by-slot loop: (first crossing or None, sums at each slot)."""
+        Z = Z0.copy()
+        q = int(qn[d])
+        nxt = dict(groups[d][: nv[d]])
+        stop = min(int(bk[nv[d], d]), int(end[d]))
+        P = np.empty(1)
+        trail = []
+        for t in range(lo, stop):
+            if t in nxt:
+                _apply_ops(Z, d, nxt[t])
+                q += sum(1 for o in nxt[t] if o[1] == 0)
+            col = Z[0][:, :, d : d + 1]
+            step(float(t), col[0], col[1], col[2], col[3], P)
+            trail.append(float(P[0]))
+            if q > 0 and P[0] >= theta_d:
+                return t, trail
+        return None, trail
+
+    theta = rng.uniform(-0.5, 4.0, size=D)
+    if case != "random":
+        for d in range(D):
+            _, trail = scan(d, np.inf)
+            if not trail:
+                continue
+            # a slot whose P to meet exactly: a passive slot, the one
+            # before it, or any
+            marks = [s - lo - (case == "tie_before") for s in bk[: nv[d], d]]
+            marks = [m for m in marks if 0 <= m < len(trail)] or [len(trail) - 1]
+            P_at = trail[marks[int(rng.integers(0, len(marks)))]]
+            theta[d] = np.nextafter(P_at, np.inf) if case == "above" else P_at
+
+    # the window's timeline groups: per device its passive slots, each
+    # group's summed screen rows in ``gd``, padding pointing at a zero row
+    op_screen, screen = _theta_lookahead_for(_theta_line(kinds, dls))
+    gk = np.zeros((K, D), dtype=np.int64)
+    gd = [np.zeros((3, 1))]
+    for d in range(D):
+        for k, (_, ops) in enumerate(groups[d][:K]):
+            a_, ty, ar = (np.array(c) for c in zip(*ops))
+            gd.append(np.sum(op_screen(ty, a_, ar), axis=1)[:, None])
+            gk[k, d] = len(gd) - 1
+    gd = np.concatenate(gd, axis=1)
+    Z = Z0.copy()
+    take, has, s_lo, s_hi = screen(Z, qn, theta, np.full(D, lo), end, bk, gd, gk, nv)
+    # fold the taken slots' ops, device by device and slot by slot
+    rows = [
+        (d, a, ty, ar)
+        for d in range(D)
+        for _, ops in groups[d][: take[d]]
+        for a, ty, ar in ops
+    ]
+    if rows:
+        dev, app, typ, arr = (np.array(c) for c in zip(*rows))
+        _fold_passive(Z, dev, app, typ, arr)
+    fired = np.zeros(D, dtype=bool)
+    es = np.full(D, -1, dtype=np.int64)
+    fd = np.flatnonzero(has)
+    if fd.size:
+        cross = _theta_crossing_for(kinds, dls, _theta_line(kinds, dls)[1])
+        es[fd] = cross(s_lo[fd], s_hi[fd], theta[fd], Z[0][:, :, fd])
+        fired[fd] = es[fd] < s_hi[fd]
+
+    for d in range(D):
+        t_star, _ = scan(d, theta[d])
+        taken = groups[d][: take[d]]
+        if fired[d]:
+            assert es[d] == t_star
+            assert all(s <= es[d] for s, _ in taken)
+            assert take[d] == nv[d] or bk[take[d], d] > es[d]
+        else:
+            # no crossing up to where the device resumes: its first
+            # passive slot not taken, or the end of its search
+            assert take[d] <= nv[d]
+            assert t_star is None or t_star >= min(bk[take[d], d], end[d])
+            if take[d] < nv[d]:  # a kept segment without a crossing
+                start = lo if take[d] == 0 else bk[take[d] - 1, d]
+                assert min(bk[take[d], d], end[d]) > start  # progress
+        want = Z0.copy()
+        for _, ops in taken:
+            _apply_ops(want, d, ops)
+        np.testing.assert_array_equal(
+            Z[..., d].view(np.uint64), want[..., d].view(np.uint64)
+        )
+
+
+def test_passive_timeline_leaves_out_transitions_after_the_drain():
+    """A heartbeat drains every packet delivered at or before its slot,
+    after the slot's passive ops: a transition in the heartbeat's slot
+    stays, a later one is left out.  Ops sort by (device, slot, type,
+    packet) and each device ends with a sentinel group at ``n_slots``."""
+    n_slots = 40
+    # device 0: packet 0 delivered at 2, transitions at 10 / 9, beat at 10;
+    # packet 1 delivered at 11 (after the beat), transitions at 20 / 19
+    pk_dev = np.array([0, 0, 1])
+    kd = np.array([2, 11, 5])
+    kp = np.array([10, 20, 12])
+    hb_dev, hb_slot = np.array([0, 1]), np.array([10, 11])
+    o_p, o_t, gpos, gslot, first, sentinel = _passive_timeline(
+        pk_dev, kd, kp, n_slots, 2, hb_dev, hb_slot
+    )
+    ops = list(zip(o_p.tolist(), o_t.tolist()))
+    # device 1's packet 2: delivered at 5, spec-set transition at 11 is at
+    # the beat (kept), Θ-set transition at 12 after it (left out)
+    real = [op for op, g in zip(ops, np.repeat(gslot, np.diff(gpos))) if g < n_slots]
+    assert real == [(0, 0), (0, 2), (0, 1), (1, 0), (1, 2), (1, 1), (2, 0), (2, 2)]
+    np.testing.assert_array_equal(gslot, [2, 9, 10, 11, 19, 20, 40, 5, 11, 40])
+    np.testing.assert_array_equal(first, [0, 7])
+    np.testing.assert_array_equal(sentinel, [6, 9])
+
+
+def test_passive_timeline_refuses_a_chunk_its_sort_key_cannot_hold():
+    with pytest.raises(ValueError, match="sort key"):
+        _passive_timeline(
+            np.zeros(2, np.int64),
+            np.zeros(2, np.int64),
+            np.ones(2, np.int64),
+            1 << 40,
+            1 << 20,
+            np.empty(0, np.int64),
+            np.empty(0, np.int64),
+        )
+
+
+def test_nan_theta_never_fires_and_ends():
+    """A NaN Θ is never reached, like an infinite one: the rounds loop
+    still walks every passive slot to the horizon and only heartbeats
+    release (the per-event loop spun forever on it)."""
+    w = synthesize_fleet(3, 600.0, 11)
+    table = channel_table(600.0)
+    nan = simulate_fleet_chunk(w, table, strategy="etrain", params={"theta": float("nan")})
+    inf = simulate_fleet_chunk(w, table, strategy="etrain", params={"theta": float("inf")})
+    for name in ("burst_dev", "burst_start", "burst_dur", "burst_size", "burst_kind", "pk_burst"):
+        np.testing.assert_array_equal(getattr(nan, name), getattr(inf, name))

@@ -26,7 +26,8 @@ HORIZON = 7200.0
 SEED = 7
 FIELDS = ("burst_dev", "burst_start", "burst_dur", "burst_size", "burst_kind", "pk_burst")
 
-#: (devices, phase_mode, strategy, params) -> digest
+#: (devices, phase_mode, strategy, params[, horizon]) -> digest; the
+#: horizon defaults to ``HORIZON``
 PINS = [
     (1, "fixed", "etrain", None,
      "1e1e1c0cf323ad57bcfa824d50bbce6652405e562b08db24228bd3b954b79bfb"),
@@ -64,9 +65,25 @@ PINS = [
      "341fb057ff8a187ebddea84d74f85081e76944d00b050d7e7fc407cffd581f71"),
     (37, "random", "peres", {"lag": 0.0, "noise": 0.0},
      "8f33eeddabc0ad1f5240727479ca363f04fa487987a65058bc266c94d85d842a"),
+    # A Θ no queue reaches: only heartbeats release, so the gaps between
+    # a device's stops run longer than the kernel's lookahead window.
+    (16, "random", "etrain", {"theta": 1e9},
+     "6cfa34d64ef7ac0616693b5f733654b107fa7f31a4f4c7844fecb1323ec12f02"),
+    (16, "fixed", "adaptive", None,
+     "3680d3a5b287f01b320a66e8190ceb65a8968c36b1353278bda5228fd34cf458"),
+    (16, "fixed", "channel_aware", None,
+     "f03092427024eb3dafaa0cc38c964eca31b678f91e50c2d2c97ede08a59e7652"),
+    (1, "random", "etrain", None, 300.0,
+     "a2289c42656443ead765d79fcff7d9ce64987c1f00b2db97d2fd89022d8a68f7"),
 ]
 
 _TABLE = {}
+
+
+def _pin_id(pin) -> str:
+    devices, _, strategy, params = pin[:4]
+    pid = f"{strategy}-{devices}dev-{'custom' if params else 'default'}"
+    return pid if len(pin) == 5 else f"{pid}-{pin[4]:g}s"
 
 
 def raw_digest(raw) -> str:
@@ -79,14 +96,12 @@ def raw_digest(raw) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize(
-    "devices,phase_mode,strategy,params,digest",
-    PINS,
-    ids=[f"{p[2]}-{p[0]}dev-{'custom' if p[3] else 'default'}" for p in PINS],
-)
-def test_raw_chunk_matches_pinned_digest(devices, phase_mode, strategy, params, digest):
-    if not _TABLE:
-        _TABLE["t"] = ChannelTable.from_model(wuhan_bandwidth_model(), HORIZON)
-    workload = synthesize_fleet(devices, HORIZON, SEED, phase_mode=phase_mode)
-    raw = simulate_fleet_chunk(workload, _TABLE["t"], strategy=strategy, params=params)
-    assert raw_digest(raw) == digest
+@pytest.mark.parametrize("pin", PINS, ids=[_pin_id(p) for p in PINS])
+def test_raw_chunk_matches_pinned_digest(pin):
+    devices, phase_mode, strategy, params = pin[:4]
+    horizon = pin[4] if len(pin) == 6 else HORIZON
+    if horizon not in _TABLE:
+        _TABLE[horizon] = ChannelTable.from_model(wuhan_bandwidth_model(), horizon)
+    workload = synthesize_fleet(devices, horizon, SEED, phase_mode=phase_mode)
+    raw = simulate_fleet_chunk(workload, _TABLE[horizon], strategy=strategy, params=params)
+    assert raw_digest(raw) == pin[-1]

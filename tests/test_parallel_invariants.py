@@ -39,6 +39,8 @@ STRATEGY_SPECS = [
     StrategySpec.make("etime", v=40_000.0),
     StrategySpec.make("periodic", period=45.0),
     StrategySpec.make("tailender"),
+    StrategySpec.make("channel_aware"),
+    StrategySpec.make("adaptive"),
 ]
 
 
